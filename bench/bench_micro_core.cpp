@@ -25,6 +25,7 @@
 #include "matching/matching_engine.hpp"
 #include "poset/poset.hpp"
 #include "profile/closeness.hpp"
+#include "profile/union_profile.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/sharded_engine.hpp"
 #include "workload/subscription_gen.hpp"
@@ -59,6 +60,43 @@ void BM_WindowedBitVectorIntersect(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WindowedBitVectorIntersect);
+
+// The same intersection with b's window starting `shift` IDs after a's, so
+// the two operands sit at that bit-offset residue mod 64 (0 = word-aligned).
+void BM_WindowedBitVectorIntersectAtOffset(benchmark::State& state) {
+  const auto shift = static_cast<MessageSeq>(state.range(0));
+  WindowedBitVector a, b;
+  for (MessageSeq s = 0; s < 1280; s += 2) a.record(s);
+  for (MessageSeq s = 0; s < 1280; s += 3) b.record(s + shift);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(WindowedBitVector::intersect_count(a, b));
+  }
+}
+BENCHMARK(BM_WindowedBitVectorIntersectAtOffset)->Arg(0)->Arg(1)->Arg(37)->ArgName("shift");
+
+// CRAM's accept step: the rate a unit shares with a broker's union plus the
+// OR of the unit into it, on a 16-publisher union of 20 profiles. The unit
+// is already in the union after the first iteration, so every iteration
+// does the same word passes.
+void BM_UnionProfileMergeWithRate(benchmark::State& state) {
+  Rng rng(4);
+  PublisherTable table;
+  for (std::uint64_t adv = 0; adv < 16; ++adv) {
+    PublisherProfile pub;
+    pub.adv = AdvId{adv};
+    pub.rate_msg_s = 10.0;
+    pub.last_seq = 1279;
+    table.emplace(pub.adv, pub);
+  }
+  UnionProfile u;
+  for (int i = 0; i < 20; ++i) u.merge(random_profile(rng, 400, 16), table);
+  const SubscriptionProfile unit = random_profile(rng, 400, 16);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(u.merge_with_rate(unit, table));
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_UnionProfileMergeWithRate);
 
 void BM_Closeness(benchmark::State& state) {
   Rng rng(1);

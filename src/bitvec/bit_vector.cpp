@@ -4,52 +4,104 @@
 #include <bit>
 #include <cassert>
 
+// The popcount kernels are compiled twice, for the POPCNT instruction and for
+// baseline x86-64, and the dynamic loader picks one per process from CPUID.
+// The build itself keeps targeting baseline x86-64, so the binary still runs
+// on CPUs without POPCNT; without the attribute every std::popcount there is
+// an out-of-line libgcc call. Other targets get the plain functions, and so
+// do ThreadSanitizer builds: the loader runs the clone resolver before the
+// TSan runtime is up, and the instrumented resolver crashes at start-up.
+#if defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define GREENPS_TSAN_BUILD
+#endif
+#endif
+#if defined(__x86_64__) && defined(__gnu_linux__) && defined(__has_attribute) && \
+    !defined(__SANITIZE_THREAD__) && !defined(GREENPS_TSAN_BUILD)
+#if __has_attribute(target_clones)
+#define GREENPS_POPCNT_CLONES __attribute__((target_clones("popcnt", "default")))
+#endif
+#endif
+#ifndef GREENPS_POPCNT_CLONES
+#define GREENPS_POPCNT_CLONES
+#endif
+
 namespace greenps {
 
 namespace {
 constexpr std::size_t kWordBits = 64;
 
 std::size_t words_for(std::size_t bits) { return (bits + kWordBits - 1) / kWordBits; }
+
+std::uint64_t low_bits(std::size_t n) { return (std::uint64_t{1} << n) - 1; }  // n < 64
+
+std::size_t popcount(std::uint64_t w) { return static_cast<std::size_t>(std::popcount(w)); }
+
+// Length of [off, off + len) that lies inside a `size`-bit vector.
+std::size_t clip(std::size_t size, std::size_t off, std::size_t len) {
+  return off >= size ? 0 : std::min(len, size - off);
+}
+
+// Consecutive 64-bit windows of a word array starting at any bit: window k
+// holds bits [bit + 64k, bit + 64k + 64). Callers clip their range to the
+// vector first, so a window reads the word after p[k] only when some of its
+// bits live there, and never past the array.
+struct BitCursor {
+  const std::uint64_t* p;
+  std::size_t shift;
+
+  BitCursor(const std::uint64_t* words, std::size_t bit)
+      : p(words + bit / kWordBits), shift(bit % kWordBits) {}
+
+  // A full window; all 64 bits lie inside the vector.
+  [[nodiscard]] std::uint64_t word(std::size_t k) const {
+    if (shift == 0) return p[k];
+    return (p[k] >> shift) | (p[k + 1] << (kWordBits - shift));
+  }
+
+  // The first n (0 < n < 64) bits of window k, the rest zero.
+  [[nodiscard]] std::uint64_t tail(std::size_t k, std::size_t n) const {
+    std::uint64_t w = p[k] >> shift;
+    if (shift + n > kWordBits) w |= p[k + 1] << (kWordBits - shift);
+    return w & low_bits(n);
+  }
+};
 }  // namespace
 
 BitVector::BitVector(std::size_t bits) : bits_(bits), words_(words_for(bits), 0) {}
-
-void BitVector::set(std::size_t i) {
-  assert(i < bits_);
-  words_[i / kWordBits] |= std::uint64_t{1} << (i % kWordBits);
-}
 
 void BitVector::reset(std::size_t i) {
   assert(i < bits_);
   words_[i / kWordBits] &= ~(std::uint64_t{1} << (i % kWordBits));
 }
 
-bool BitVector::test(std::size_t i) const {
-  if (i >= bits_) return false;
-  return (words_[i / kWordBits] >> (i % kWordBits)) & 1u;
-}
-
+GREENPS_POPCNT_CLONES
 std::size_t BitVector::count() const {
   std::size_t total = 0;
-  for (const auto w : words_) total += static_cast<std::size_t>(std::popcount(w));
+  for (const auto w : words_) total += popcount(w);
   return total;
 }
 
 void BitVector::mask_tail() {
   const std::size_t rem = bits_ % kWordBits;
   if (rem != 0 && !words_.empty()) {
-    words_.back() &= (std::uint64_t{1} << rem) - 1;
+    words_.back() &= low_bits(rem);
   }
 }
 
-void BitVector::shift_down(std::size_t k) {
-  if (k == 0) return;
+GREENPS_POPCNT_CLONES
+std::size_t BitVector::shift_down(std::size_t k) {
+  if (k == 0) return 0;
+  std::size_t dropped = 0;
   if (k >= bits_) {
+    for (const auto w : words_) dropped += popcount(w);
     std::fill(words_.begin(), words_.end(), 0);
-    return;
+    return dropped;
   }
   const std::size_t word_shift = k / kWordBits;
   const std::size_t bit_shift = k % kWordBits;
+  for (std::size_t i = 0; i < word_shift; ++i) dropped += popcount(words_[i]);
+  if (bit_shift != 0) dropped += popcount(words_[word_shift] & low_bits(bit_shift));
   const std::size_t n = words_.size();
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t src = i + word_shift;
@@ -61,6 +113,7 @@ void BitVector::shift_down(std::size_t k) {
     words_[i] = lo;
   }
   mask_tail();
+  return dropped;
 }
 
 std::uint64_t BitVector::word_at(std::size_t bit_offset) const {
@@ -72,95 +125,85 @@ std::uint64_t BitVector::word_at(std::size_t bit_offset) const {
   return (lo >> r) | (hi << (kWordBits - r));
 }
 
-void BitVector::or_with(const BitVector& other, std::ptrdiff_t this_offset,
-                        std::ptrdiff_t other_offset, std::size_t len) {
+GREENPS_POPCNT_CLONES
+std::size_t BitVector::or_with(const BitVector& other, std::ptrdiff_t this_offset,
+                               std::ptrdiff_t other_offset, std::size_t len) {
   // Normalize away negative offsets, then clip the copied range to both
   // vectors so the word loop below needs no per-bit bounds checks.
   if (this_offset < 0) {
     const std::ptrdiff_t skip = -this_offset;
-    if (static_cast<std::size_t>(skip) >= len) return;
+    if (static_cast<std::size_t>(skip) >= len) return 0;
     this_offset = 0;
     other_offset += skip;
     len -= static_cast<std::size_t>(skip);
   }
   if (other_offset < 0) {
     const std::ptrdiff_t skip = -other_offset;
-    if (static_cast<std::size_t>(skip) >= len) return;
+    if (static_cast<std::size_t>(skip) >= len) return 0;
     other_offset = 0;
     this_offset += skip;
     len -= static_cast<std::size_t>(skip);
   }
   const auto t0 = static_cast<std::size_t>(this_offset);
   const auto o0 = static_cast<std::size_t>(other_offset);
-  if (t0 >= bits_ || o0 >= other.bits_) return;
-  len = std::min({len, bits_ - t0, other.bits_ - o0});
-  for (std::size_t i = 0; i < len; i += kWordBits) {
-    std::uint64_t w = other.word_at(o0 + i);
-    const std::size_t remaining = len - i;
-    if (remaining < kWordBits) w &= (std::uint64_t{1} << remaining) - 1;
-    if (w == 0) continue;
-    const std::size_t t = t0 + i;
-    const std::size_t tw = t / kWordBits;
-    const std::size_t tr = t % kWordBits;
-    words_[tw] |= w << tr;
-    if (tr != 0 && tw + 1 < words_.size()) words_[tw + 1] |= w >> (kWordBits - tr);
+  len = std::min(clip(bits_, t0, len), clip(other.bits_, o0, len));
+  if (len == 0) return 0;
+  // Source window k lands at bit `shift` of dst[k] and, when it straddles a
+  // word, spills into dst[k + 1]; the clip keeps both inside this vector.
+  const BitCursor src(other.words_.data(), o0);
+  std::uint64_t* dst = words_.data() + t0 / kWordBits;
+  const std::size_t shift = t0 % kWordBits;
+  std::size_t added = 0;
+  for (std::size_t k = 0, done = 0; done < len; ++k, done += kWordBits) {
+    const std::size_t n = std::min(kWordBits, len - done);
+    const std::uint64_t w = n == kWordBits ? src.word(k) : src.tail(k, n);
+    const std::uint64_t lo = w << shift;
+    added += popcount(lo & ~dst[k]);
+    dst[k] |= lo;
+    if (shift + n > kWordBits) {
+      const std::uint64_t hi = w >> (kWordBits - shift);
+      added += popcount(hi & ~dst[k + 1]);
+      dst[k + 1] |= hi;
+    }
   }
-  mask_tail();
+  return added;
 }
 
+GREENPS_POPCNT_CLONES
 std::size_t BitVector::and_count(const BitVector& a, std::size_t a_off,
                                  const BitVector& b, std::size_t b_off,
                                  std::size_t len) {
+  len = std::min(clip(a.bits_, a_off, len), clip(b.bits_, b_off, len));
+  if (len == 0) return 0;
+  const BitCursor ca(a.words_.data(), a_off);
+  const BitCursor cb(b.words_.data(), b_off);
+  const std::size_t full = len / kWordBits;
   std::size_t total = 0;
-  for (std::size_t i = 0; i < len; i += kWordBits) {
-    std::uint64_t wa = a.word_at(a_off + i);
-    std::uint64_t wb = b.word_at(b_off + i);
-    const std::size_t remaining = len - i;
-    if (remaining < kWordBits) {
-      const std::uint64_t mask = (std::uint64_t{1} << remaining) - 1;
-      wa &= mask;
-      wb &= mask;
-    }
-    total += static_cast<std::size_t>(std::popcount(wa & wb));
+  for (std::size_t k = 0; k < full; ++k) total += popcount(ca.word(k) & cb.word(k));
+  if (const std::size_t rem = len % kWordBits; rem != 0) {
+    total += popcount(ca.tail(full, rem) & cb.tail(full, rem));
   }
   return total;
-}
-
-BitVector::PairCounts BitVector::pair_counts(const BitVector& a, std::size_t a_off,
-                                             const BitVector& b, std::size_t b_off,
-                                             std::size_t len) {
-  PairCounts c;
-  for (std::size_t i = 0; i < len; i += kWordBits) {
-    std::uint64_t wa = a.word_at(a_off + i);
-    std::uint64_t wb = b.word_at(b_off + i);
-    const std::size_t remaining = len - i;
-    if (remaining < kWordBits) {
-      const std::uint64_t mask = (std::uint64_t{1} << remaining) - 1;
-      wa &= mask;
-      wb &= mask;
-    }
-    c.a += static_cast<std::size_t>(std::popcount(wa));
-    c.b += static_cast<std::size_t>(std::popcount(wb));
-    c.both += static_cast<std::size_t>(std::popcount(wa & wb));
-  }
-  return c;
 }
 
 bool BitVector::contains(const BitVector& sup, std::size_t sup_off,
                          const BitVector& sub, std::size_t sub_off,
                          std::size_t len) {
-  for (std::size_t i = 0; i < len; i += kWordBits) {
-    std::uint64_t ws = sup.word_at(sup_off + i);
-    std::uint64_t wb = sub.word_at(sub_off + i);
-    const std::size_t remaining = len - i;
-    if (remaining < kWordBits) {
-      const std::uint64_t mask = (std::uint64_t{1} << remaining) - 1;
-      ws &= mask;
-      wb &= mask;
+  const std::size_t sub_len = clip(sub.bits_, sub_off, len);
+  const std::size_t both = std::min(sub_len, clip(sup.bits_, sup_off, len));
+  if (both != 0) {
+    const BitCursor cs(sup.words_.data(), sup_off);
+    const BitCursor cb(sub.words_.data(), sub_off);
+    const std::size_t full = both / kWordBits;
+    for (std::size_t k = 0; k < full; ++k) {
+      if ((cb.word(k) & ~cs.word(k)) != 0) return false;
     }
-    if ((wb & ~ws) != 0) return false;
+    if (const std::size_t rem = both % kWordBits; rem != 0) {
+      if ((cb.tail(full, rem) & ~cs.tail(full, rem)) != 0) return false;
+    }
   }
-  return true;
+  // Where `sup` has run out it reads as zero, so `sub` must be empty there.
+  return both == sub_len || sub.count_range(sub_off + both, sub_len - both) == 0;
 }
 
 std::ptrdiff_t BitVector::highest_set() const {
@@ -173,16 +216,15 @@ std::ptrdiff_t BitVector::highest_set() const {
   return -1;
 }
 
+GREENPS_POPCNT_CLONES
 std::size_t BitVector::count_range(std::size_t from, std::size_t len) const {
-  if (from >= bits_) return 0;
-  len = std::min(len, bits_ - from);
+  len = clip(bits_, from, len);
+  if (len == 0) return 0;
+  const BitCursor c(words_.data(), from);
+  const std::size_t full = len / kWordBits;
   std::size_t total = 0;
-  for (std::size_t i = 0; i < len; i += kWordBits) {
-    std::uint64_t w = word_at(from + i);
-    const std::size_t remaining = len - i;
-    if (remaining < kWordBits) w &= (std::uint64_t{1} << remaining) - 1;
-    total += static_cast<std::size_t>(std::popcount(w));
-  }
+  for (std::size_t k = 0; k < full; ++k) total += popcount(c.word(k));
+  if (const std::size_t rem = len % kWordBits; rem != 0) total += popcount(c.tail(full, rem));
   return total;
 }
 

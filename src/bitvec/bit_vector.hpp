@@ -1,8 +1,12 @@
 // Fixed-size dynamic bit vector with the set operations the profiling
 // framework needs: popcount, offset-aligned AND/OR/XOR cardinalities, subset
 // tests, and in-place down-shifts (used when the profiling window slides).
+//
+// Every range operation takes bit offsets that need not be word-aligned and
+// lengths that may run past a vector's end: bits past the end read as zero.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -17,23 +21,32 @@ class BitVector {
   [[nodiscard]] std::size_t size() const { return bits_; }
   [[nodiscard]] bool empty() const { return bits_ == 0; }
 
-  void set(std::size_t i);
+  // Inline: the profiling window sets and tests one bit per recorded
+  // publication, on the simulator's delivery path.
+  void set(std::size_t i) {
+    assert(i < bits_);
+    words_[i / 64] |= std::uint64_t{1} << (i % 64);
+  }
   void reset(std::size_t i);
-  [[nodiscard]] bool test(std::size_t i) const;
+  [[nodiscard]] bool test(std::size_t i) const {
+    return i < bits_ && ((words_[i / 64] >> (i % 64)) & 1u) != 0;
+  }
 
   // Number of set bits.
   [[nodiscard]] std::size_t count() const;
 
   // Logical shift towards index 0 by `k` bits: bit i becomes bit i-k and the
   // lowest k bits are discarded. Size is unchanged; vacated high bits are 0.
-  void shift_down(std::size_t k);
+  // Returns the number of set bits discarded.
+  std::size_t shift_down(std::size_t k);
 
   // Set every bit of `other` (aligned at bit offsets) into this vector.
   // Bits of `other` that would land outside this vector are ignored.
   // `this_offset`/`other_offset` align the two coordinate systems:
   // other bit (other_offset + i) maps onto this bit (this_offset + i).
-  void or_with(const BitVector& other, std::ptrdiff_t this_offset,
-               std::ptrdiff_t other_offset, std::size_t len);
+  // Returns the number of bits that were clear here and are now set.
+  std::size_t or_with(const BitVector& other, std::ptrdiff_t this_offset,
+                      std::ptrdiff_t other_offset, std::size_t len);
 
   // 64 bits starting at `bit_offset`, zero-padded past the end.
   [[nodiscard]] std::uint64_t word_at(std::size_t bit_offset) const;
@@ -42,18 +55,6 @@ class BitVector {
   [[nodiscard]] static std::size_t and_count(const BitVector& a, std::size_t a_off,
                                              const BitVector& b, std::size_t b_off,
                                              std::size_t len);
-
-  // Fused kernel: |a|, |b| and |a ∩ b| over the same aligned `len`-bit range
-  // in one word loop (the words are loaded once and popcounted three ways,
-  // instead of two count passes plus an AND pass).
-  struct PairCounts {
-    std::size_t a = 0;
-    std::size_t b = 0;
-    std::size_t both = 0;
-  };
-  [[nodiscard]] static PairCounts pair_counts(const BitVector& a, std::size_t a_off,
-                                              const BitVector& b, std::size_t b_off,
-                                              std::size_t len);
 
   // True iff every set bit of `sub` (over `len` bits from sub_off) is also
   // set in `sup` (from sup_off).

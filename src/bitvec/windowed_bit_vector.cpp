@@ -13,7 +13,7 @@ void WindowedBitVector::slide_to_hold(MessageSeq seq) {
   const auto cap = static_cast<MessageSeq>(bits_.size());
   if (seq < first_id_ + cap) return;
   const MessageSeq shift = seq - (first_id_ + cap) + 1;
-  bits_.shift_down(static_cast<std::size_t>(std::min<MessageSeq>(shift, cap)));
+  count_ -= bits_.shift_down(static_cast<std::size_t>(std::min<MessageSeq>(shift, cap)));
   first_id_ += shift;
 }
 
@@ -24,7 +24,11 @@ bool WindowedBitVector::record(MessageSeq seq) {
   }
   if (seq < first_id_) return false;  // already slid past this publication
   slide_to_hold(seq);
-  bits_.set(static_cast<std::size_t>(seq - first_id_));
+  const auto off = static_cast<std::size_t>(seq - first_id_);
+  if (!bits_.test(off)) {
+    bits_.set(off);
+    ++count_;
+  }
   return true;
 }
 
@@ -53,26 +57,6 @@ std::size_t WindowedBitVector::union_count(const WindowedBitVector& a,
 std::size_t WindowedBitVector::xor_count(const WindowedBitVector& a,
                                          const WindowedBitVector& b) {
   return a.count() + b.count() - 2 * intersect_count(a, b);
-}
-
-WindowedBitVector::PairCounts WindowedBitVector::pairwise_counts(const WindowedBitVector& a,
-                                                                 const WindowedBitVector& b) {
-  PairCounts c;
-  const MessageSeq lo = std::max(a.first_id_, b.first_id_);
-  const MessageSeq hi = std::min(a.end_id(), b.end_id());
-  if (hi <= lo) {
-    c.a = a.count();
-    c.b = b.count();
-    return c;
-  }
-  const auto a_lo = static_cast<std::size_t>(lo - a.first_id_);
-  const auto b_lo = static_cast<std::size_t>(lo - b.first_id_);
-  const auto len = static_cast<std::size_t>(hi - lo);
-  const BitVector::PairCounts in = BitVector::pair_counts(a.bits_, a_lo, b.bits_, b_lo, len);
-  c.both = in.both;
-  c.a = in.a + a.bits_.count_range(0, a_lo) + a.bits_.count_range(a_lo + len, a.bits_.size());
-  c.b = in.b + b.bits_.count_range(0, b_lo) + b.bits_.count_range(b_lo + len, b.bits_.size());
-  return c;
 }
 
 bool WindowedBitVector::covers(const WindowedBitVector& sup, const WindowedBitVector& sub) {
@@ -108,8 +92,8 @@ void WindowedBitVector::merge(const WindowedBitVector& other) {
   const MessageSeq lo = std::max(first_id_, other.first_id_);
   const MessageSeq hi = std::min(end_id(), other.end_id());
   if (hi <= lo) return;
-  bits_.or_with(other.bits_, lo - first_id_, lo - other.first_id_,
-                static_cast<std::size_t>(hi - lo));
+  count_ += bits_.or_with(other.bits_, lo - first_id_, lo - other.first_id_,
+                          static_cast<std::size_t>(hi - lo));
 }
 
 }  // namespace greenps

@@ -36,7 +36,8 @@ class WindowedBitVector {
   [[nodiscard]] std::size_t capacity() const { return bits_.size(); }
 
   [[nodiscard]] const BitVector& bits() const { return bits_; }
-  [[nodiscard]] std::size_t count() const { return bits_.count(); }
+  // Number of set bits, O(1): every mutator keeps it exact.
+  [[nodiscard]] std::size_t count() const { return count_; }
   [[nodiscard]] bool test_seq(MessageSeq seq) const;
 
   // --- Aligned set algebra (operands may have different first_id) ---
@@ -54,18 +55,6 @@ class WindowedBitVector {
   [[nodiscard]] static bool covers(const WindowedBitVector& sup,
                                    const WindowedBitVector& sub);
 
-  // Fused kernel: total set bits of a, of b, and of their aligned
-  // intersection, computed in a single pass (the overlap region is walked
-  // once with three popcounts; the non-overlapping remainders once each).
-  // Equivalent to {a.count(), b.count(), intersect_count(a, b)}.
-  struct PairCounts {
-    std::size_t a = 0;
-    std::size_t b = 0;
-    std::size_t both = 0;
-  };
-  [[nodiscard]] static PairCounts pairwise_counts(const WindowedBitVector& a,
-                                                  const WindowedBitVector& b);
-
   // OR `other` into this window (Figure 1 clustering). Bits of `other` older
   // than this window's start are dropped; newer bits slide this window
   // forward first so they fit.
@@ -77,6 +66,10 @@ class WindowedBitVector {
   void slide_to_hold(MessageSeq seq);
 
   BitVector bits_;
+  // Popcount of bits_, updated eagerly by record/slide/merge rather than
+  // cached lazily: pair-search and speculative-probe threads read windows
+  // concurrently through const references, so count() must not write.
+  std::size_t count_ = 0;
   MessageSeq first_id_ = 0;
   bool anchored_ = false;
 };

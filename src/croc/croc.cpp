@@ -515,8 +515,12 @@ ReconfigurationReport Croc::reconfigure_incremental(const Simulation& sim, Broke
   };
 
   if (session_ == nullptr) {
-    GREENPS_SPAN("croc.phase1.gather");
-    return bootstrap(gather_information(sim.deployment().topology, entry, provider));
+    GatheredInfo info;
+    {
+      GREENPS_SPAN("croc.phase1.gather");
+      info = gather_information(sim.deployment().topology, entry, provider);
+    }
+    return bootstrap(std::move(info));
   }
 
   GatheredInfo info;

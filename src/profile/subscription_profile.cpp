@@ -120,8 +120,7 @@ std::size_t SubscriptionProfile::xor_count(const SubscriptionProfile& a,
 bool SubscriptionProfile::covers(const SubscriptionProfile& sup,
                                  const SubscriptionProfile& sub) {
   // Aligned walk over the two sorted publisher maps with early exit: `sup`
-  // covers `sub` iff for every publisher, |sup ∩ sub| equals |sub| — one
-  // fused word loop per publisher instead of a count pass plus a subset pass.
+  // covers `sub` iff every publisher's window of `sub` is covered.
   auto is = sup.vectors_.begin();
   for (const auto& [adv, vb] : sub.vectors_) {
     while (is != sup.vectors_.end() && is->first < adv) ++is;
@@ -129,8 +128,7 @@ bool SubscriptionProfile::covers(const SubscriptionProfile& sup,
       if (vb.count() != 0) return false;
       continue;
     }
-    const auto pc = WindowedBitVector::pairwise_counts(is->second, vb);
-    if (pc.both != pc.b) return false;
+    if (!WindowedBitVector::covers(is->second, vb)) return false;
   }
   return true;
 }

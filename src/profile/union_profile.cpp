@@ -8,27 +8,15 @@ namespace {
 
 thread_local std::size_t t_probe_walks = 0;
 
-// Exact replica of SubscriptionProfile::set_fraction with the set-bit count
-// supplied by the caller (cached for the union side).
-double fraction(std::size_t set, MessageSeq first_id, std::size_t capacity,
-                const PublisherProfile& pub) {
-  if (set == 0) return 0.0;
-  MessageSeq observed = pub.last_seq >= first_id ? pub.last_seq - first_id + 1
-                                                 : static_cast<MessageSeq>(set);
-  observed = std::min<MessageSeq>(observed, static_cast<MessageSeq>(capacity));
-  observed = std::max<MessageSeq>(observed, static_cast<MessageSeq>(set));
-  return static_cast<double>(set) / static_cast<double>(observed);
-}
-
 // One common-publisher contribution, operation-for-operation the body of
 // SubscriptionProfile::intersection_rate's loop.
 MsgRate adv_rate(const UnionProfile::Entry& e, const WindowedBitVector& vb,
                  const PublisherProfile& pub) {
   const std::size_t common = WindowedBitVector::intersect_count(e.bits, vb);
   if (common == 0) return 0;
-  const double fa = fraction(e.count, e.bits.first_id(), e.bits.capacity(), pub);
+  const double fa = SubscriptionProfile::set_fraction(e.bits, pub);
   const double fb = SubscriptionProfile::set_fraction(vb, pub);
-  const double denom_a = fa > 0 ? static_cast<double>(e.count) / fa : 1.0;
+  const double denom_a = fa > 0 ? static_cast<double>(e.bits.count()) / fa : 1.0;
   const double denom_b = fb > 0 ? static_cast<double>(vb.count()) / fb : 1.0;
   const double denom = std::max({denom_a, denom_b, static_cast<double>(common)});
   return pub.rate_msg_s * static_cast<double>(common) / denom;
@@ -69,12 +57,10 @@ void UnionProfile::merge(const SubscriptionProfile& p, const PublisherTable& tab
   for (const auto& [adv, v] : p.vectors()) {
     while (i < entries_.size() && entries_[i].adv < adv) ++i;
     if (i < entries_.size() && entries_[i].adv == adv) {
-      Entry& e = entries_[i];
-      e.bits.merge(v);
-      e.count = e.bits.count();
+      entries_[i].bits.merge(v);
     } else {
       entries_.insert(entries_.begin() + static_cast<std::ptrdiff_t>(i),
-                      Entry{adv, v, v.count(), resolve(table, adv)});
+                      Entry{adv, v, resolve(table, adv)});
     }
     ++i;
   }
@@ -91,10 +77,9 @@ MsgRate UnionProfile::merge_with_rate(const SubscriptionProfile& p,
       Entry& e = entries_[i];
       if (e.pub != nullptr) total += adv_rate(e, v, *e.pub);
       e.bits.merge(v);
-      e.count = e.bits.count();
     } else {
       entries_.insert(entries_.begin() + static_cast<std::ptrdiff_t>(i),
-                      Entry{adv, v, v.count(), resolve(table, adv)});
+                      Entry{adv, v, resolve(table, adv)});
     }
     ++i;
   }

@@ -25,9 +25,6 @@ class UnionProfile {
   struct Entry {
     AdvId adv;
     WindowedBitVector bits;
-    // Cached |bits| — every rate walk needs it and BitVector::count() is a
-    // full popcount pass. Updated on merge.
-    std::size_t count = 0;
     // Publisher resolved once at first merge; nullptr when the adv is absent
     // from the table (contributes no rate, exactly like the map kernel).
     const PublisherProfile* pub = nullptr;

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <set>
+#include <vector>
 
 namespace greenps {
 namespace {
@@ -241,6 +243,97 @@ TEST(BitVectorProperty, OrWithMatchesOracle) {
   }
 }
 
+// A random BitVector and the same bits as a plain reference.
+struct OracleBits {
+  BitVector v;
+  std::vector<bool> ref;
+
+  [[nodiscard]] bool at(std::size_t i) const { return i < ref.size() && ref[i]; }
+};
+
+OracleBits random_bits(std::mt19937& rng, std::size_t n) {
+  OracleBits b{BitVector(n), std::vector<bool>(n, false)};
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rng() % 3 == 0) {
+      b.v.set(i);
+      b.ref[i] = true;
+    }
+  }
+  return b;
+}
+
+// Lengths that end inside a word, on a word boundary and just past one;
+// with the offsets below, the longer ones also run past either vector's end.
+constexpr std::size_t kOracleLens[] = {0, 1, 2, 63, 64, 65, 127, 128, 129, 191, 300};
+
+// Property test: the offset range kernels agree with a bit-by-bit oracle for
+// every bit-offset residue mod 64 on each operand.
+TEST(BitVectorProperty, RangeKernelsMatchOracleAtEveryOffsetResidue) {
+  std::mt19937 rng(64);
+  for (std::size_t ra = 0; ra < 64; ++ra) {
+    const OracleBits a = random_bits(rng, 150 + rng() % 200);
+    const OracleBits b = random_bits(rng, 150 + rng() % 200);
+    for (const std::size_t rb : {std::size_t{0}, ra, 63 - ra, std::size_t{rng() % 64}}) {
+      for (const std::size_t len : kOracleLens) {
+        const std::size_t a_off = ra + 64 * (rng() % 5);
+        const std::size_t b_off = rb + 64 * (rng() % 5);
+        std::size_t both = 0, in_a = 0;
+        bool a_covers_b = true;
+        for (std::size_t i = 0; i < len; ++i) {
+          both += a.at(a_off + i) && b.at(b_off + i);
+          in_a += a.at(a_off + i);
+          if (b.at(b_off + i) && !a.at(a_off + i)) a_covers_b = false;
+        }
+        const auto where = ::testing::Message() << "a_off " << a_off << " b_off " << b_off
+                                                << " len " << len << " sizes " << a.ref.size()
+                                                << "/" << b.ref.size();
+        EXPECT_EQ(BitVector::and_count(a.v, a_off, b.v, b_off, len), both) << where;
+        EXPECT_EQ(a.v.count_range(a_off, len), in_a) << where;
+        EXPECT_EQ(BitVector::contains(a.v, a_off, b.v, b_off, len), a_covers_b) << where;
+        EXPECT_TRUE(BitVector::contains(a.v, a_off, a.v, a_off, len)) << where;
+      }
+    }
+  }
+}
+
+// Property test: or_with sets exactly the oracle's bits and returns how many
+// were newly set, for every target and source offset residue mod 64
+// (negative offsets and spans past either end included).
+TEST(BitVectorProperty, OrWithNewlySetCountMatchesOracleAtEveryOffsetResidue) {
+  std::mt19937 rng(65);
+  for (std::size_t rt = 0; rt < 64; ++rt) {
+    for (const std::size_t ro : {std::size_t{0}, rt, 63 - rt, std::size_t{rng() % 64}}) {
+      for (const std::size_t len : kOracleLens) {
+        OracleBits t = random_bits(rng, 150 + rng() % 200);
+        const OracleBits o = random_bits(rng, 150 + rng() % 200);
+        const auto t_off = static_cast<std::ptrdiff_t>(rt + 64 * (rng() % 5)) - 64;
+        const auto o_off = static_cast<std::ptrdiff_t>(ro + 64 * (rng() % 5)) - 64;
+        std::size_t added = 0;
+        std::vector<bool> expected = t.ref;
+        for (std::size_t i = 0; i < len; ++i) {
+          const std::ptrdiff_t ti = t_off + static_cast<std::ptrdiff_t>(i);
+          const std::ptrdiff_t oi = o_off + static_cast<std::ptrdiff_t>(i);
+          if (ti < 0 || oi < 0 || !o.at(static_cast<std::size_t>(oi))) continue;
+          const auto target = static_cast<std::size_t>(ti);
+          if (target < expected.size() && !expected[target]) {
+            expected[target] = true;
+            ++added;
+          }
+        }
+        const auto where = ::testing::Message() << "t_off " << t_off << " o_off " << o_off
+                                                << " len " << len;
+        EXPECT_EQ(t.v.or_with(o.v, t_off, o_off, len), added) << where;
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          ASSERT_EQ(t.v.test(i), expected[i]) << where << " bit " << i;
+        }
+        EXPECT_EQ(t.v.count(), static_cast<std::size_t>(
+                                   std::count(expected.begin(), expected.end(), true)))
+            << where;
+      }
+    }
+  }
+}
+
 // Property test: shift_down(k) then test(i) == original test(i+k).
 TEST(BitVectorProperty, ShiftDownMatchesOracle) {
   std::mt19937 rng(7);
@@ -254,7 +347,9 @@ TEST(BitVectorProperty, ShiftDownMatchesOracle) {
       bits.insert(bit);
     }
     const std::size_t k = rng() % (n + 10);
-    v.shift_down(k);
+    const auto dropped = static_cast<std::size_t>(
+        std::count_if(bits.begin(), bits.end(), [k](std::size_t b) { return b < k; }));
+    EXPECT_EQ(v.shift_down(k), dropped) << "trial " << trial;
     for (std::size_t i = 0; i < n; ++i) {
       const bool expected = bits.count(i + k) > 0 && i + k < n;
       EXPECT_EQ(v.test(i), expected) << "trial " << trial << " bit " << i;

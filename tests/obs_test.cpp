@@ -335,6 +335,75 @@ TEST(Trace, GoldenStructureFromTinyCrocRun) {
   std::remove(path.c_str());
 }
 
+// Complete ("X") events of a trace written by the tracer: name, ts and dur.
+struct TraceSpan {
+  std::string name;
+  std::uint64_t ts = 0;
+  std::uint64_t dur = 0;
+};
+
+std::vector<TraceSpan> complete_spans(const std::string& trace) {
+  std::vector<TraceSpan> out;
+  const std::string open = "{\"name\":\"";
+  for (std::size_t at = trace.find(open); at != std::string::npos;
+       at = trace.find(open, at + 1)) {
+    const std::size_t obj_end = trace.find('}', at);
+    const std::string ev = trace.substr(at, obj_end - at);
+    if (ev.find("\"ph\":\"X\"") == std::string::npos) continue;
+    const auto field = [&ev](const char* key) {
+      const std::size_t f = ev.find(std::string("\"") + key + "\":");
+      return std::strtoull(ev.c_str() + f + std::strlen(key) + 3, nullptr, 10);
+    };
+    const std::size_t name_end = ev.find('"', open.size());
+    out.push_back({ev.substr(open.size(), name_end - open.size()), field("ts"), field("dur")});
+  }
+  return out;
+}
+
+TEST(Trace, IncrementalBootstrapGatherSpanExcludesCram) {
+#if defined(GREENPS_OBS_DISABLE)
+  GTEST_SKIP() << "observability compiled out";
+#endif
+  // With no warm session, reconfigure_incremental gathers and then
+  // bootstraps a session, which runs CRAM. The gather span must cover the
+  // gather alone, so no cram.* span may start inside it.
+  const std::string path = "obs_bootstrap_test.trace.json";
+  obs::trace_start(path);
+  {
+    ScenarioConfig c;
+    c.num_brokers = 24;
+    c.num_publishers = 6;
+    c.subs_per_publisher = 20;
+    c.full_out_bw_kb_s = 8.0;
+    c.publication_rate = 5.0;
+    c.seed = 11;
+    Simulation sim = make_simulation(c);
+    sim.run(60.0);
+    CrocConfig cfg;
+    cfg.algorithm = Phase2Algorithm::kCram;
+    Croc croc(cfg);
+    const ReconfigurationReport report = croc.reconfigure_incremental(sim, BrokerId{0});
+    ASSERT_TRUE(report.success);
+  }
+  obs::trace_stop();
+
+  const std::vector<TraceSpan> spans = complete_spans(slurp(path));
+  const auto gather = std::find_if(spans.begin(), spans.end(), [](const TraceSpan& s) {
+    return s.name == "croc.phase1.gather";
+  });
+  ASSERT_NE(gather, spans.end());
+  std::size_t cram_spans = 0;
+  for (const TraceSpan& s : spans) {
+    if (s.name.rfind("cram.", 0) != 0) continue;
+    ++cram_spans;
+    EXPECT_FALSE(s.ts >= gather->ts && s.ts < gather->ts + gather->dur)
+        << s.name << " at " << s.ts << " inside croc.phase1.gather [" << gather->ts << ", "
+        << gather->ts + gather->dur << ")";
+  }
+  EXPECT_GT(cram_spans, 0u);
+  std::remove(path.c_str());
+}
+
 TEST(Trace, ThreadPoolSpansCarryDistinctThreadsAndTags) {
 #if defined(GREENPS_OBS_DISABLE)
   GTEST_SKIP() << "observability compiled out";

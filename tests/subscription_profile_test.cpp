@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "profile/union_profile.hpp"
 
 namespace greenps {
 namespace {
@@ -177,6 +178,47 @@ TEST(SubscriptionProfile, PairwiseCountsMatchNaiveSetAlgebra) {
     EXPECT_EQ(SubscriptionProfile::covers(a, b), pc.intersect == pc.card_b);
     EXPECT_EQ(SubscriptionProfile::same_bits(a, b),
               pc.intersect == pc.card_a && pc.intersect == pc.card_b);
+  }
+}
+
+// Property: the flat union is bit-identical to the map-backed kernels it
+// replaces in the allocation probe. Both rate walks return
+// SubscriptionProfile::intersection_rate against the pre-merge union, and
+// every union window (set bits, anchor and count) equals the one
+// SubscriptionProfile::merge builds, over sliding windows and a publisher
+// missing from the table.
+TEST(UnionProfile, MatchesMapProfileKernels) {
+  Rng rng(7);
+  PublisherTable table;
+  for (std::uint64_t adv = 0; adv < 5; ++adv) {  // adv 5 stays unknown
+    table[AdvId{adv}] = PublisherProfile{AdvId{adv}, 1.0 + static_cast<double>(adv), 10.0,
+                                         static_cast<MessageSeq>(300 + 40 * adv)};
+  }
+  for (int trial = 0; trial < 40; ++trial) {
+    UnionProfile flat;
+    SubscriptionProfile map(128);
+    for (int unit = 0; unit < 12; ++unit) {
+      SubscriptionProfile p(128);
+      const MessageSeq base = rng.uniform_int(0, 300);
+      for (int i = 0; i < 40; ++i) {
+        p.record(AdvId{static_cast<std::uint64_t>(rng.index(6))}, base + rng.uniform_int(0, 200));
+      }
+      const MsgRate expected = SubscriptionProfile::intersection_rate(map, p, table);
+      EXPECT_EQ(flat.intersection_rate(p), expected) << "trial " << trial;
+      if (rng.chance(0.5)) {
+        EXPECT_EQ(flat.merge_with_rate(p, table), expected) << "trial " << trial;
+      } else {
+        flat.merge(p, table);
+      }
+      map.merge(p);
+      ASSERT_EQ(flat.entries().size(), map.vectors().size());
+      for (const UnionProfile::Entry& e : flat.entries()) {
+        const WindowedBitVector* v = map.vector_for(e.adv);
+        ASSERT_NE(v, nullptr);
+        EXPECT_TRUE(e.bits == *v) << "trial " << trial << " adv " << e.adv.value();
+        EXPECT_EQ(e.bits.count(), e.bits.bits().count());
+      }
+    }
   }
 }
 

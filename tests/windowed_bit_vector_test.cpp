@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <random>
 #include <set>
 
@@ -203,6 +205,54 @@ TEST(WindowedBitVectorProperty, MergeMatchesSetUnionOracle) {
       if (s >= merged.first_id() && s < merged.end_id()) {
         EXPECT_TRUE(merged.test_seq(s)) << "trial " << trial << " seq " << s;
       }
+    }
+  }
+}
+
+// Property: the O(1) count() equals a fresh popcount of bits() after any
+// sequence of records and merges, including slides of a whole window or
+// more, merges into and out of unanchored windows, and disjoint windows.
+TEST(WindowedBitVectorProperty, CountMatchesPopcountAfterRecordsAndMerges) {
+  std::mt19937 rng(23);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto cap = static_cast<MessageSeq>(1 + rng() % 200);
+    const auto near = [&](MessageSeq at) {
+      return at + static_cast<MessageSeq>(rng() % static_cast<std::uint32_t>(2 * cap)) - cap;
+    };
+    WindowedBitVector v(static_cast<std::size_t>(cap));
+    MessageSeq head = static_cast<MessageSeq>(rng() % 1000) + 4 * cap;
+    for (int step = 0; step < 60; ++step) {
+      WindowedBitVector other(static_cast<std::size_t>(cap));
+      switch (rng() % 6) {
+        case 0:  // around the window: stale, duplicate or a short slide
+          v.record(near(head));
+          head += static_cast<MessageSeq>(rng() % 4);
+          break;
+        case 1:  // slide by at least the capacity
+          head += cap + static_cast<MessageSeq>(rng() % static_cast<std::uint32_t>(3 * cap));
+          v.record(head);
+          break;
+        case 2:  // overlapping window
+          for (int i = 0; i < 8; ++i) other.record(near(head));
+          v.merge(other);
+          break;
+        case 3:  // disjoint window, older or newer
+          other.record(rng() % 2 == 0 ? head - 3 * cap : head + 3 * cap);
+          other.record(other.first_id() + cap - 1);
+          v.merge(other);
+          head = std::max(head, other.end_id());
+          break;
+        case 4:  // unanchored on either side
+          v.merge(other);
+          other.merge(v);
+          EXPECT_EQ(other.count(), other.bits().count()) << "trial " << trial;
+          EXPECT_EQ(other.count(), v.count()) << "trial " << trial;
+          break;
+        default:  // restart from an unanchored window
+          v = WindowedBitVector(static_cast<std::size_t>(cap));
+          break;
+      }
+      ASSERT_EQ(v.count(), v.bits().count()) << "trial " << trial << " step " << step;
     }
   }
 }
