@@ -115,7 +115,9 @@ int main() {
     const double t =
         time_of([&] { r = cram_allocate(pool, units, info.publisher_table, opts); });
     // Union-rate walks by this thread (complete when threads == 1; worker
-    // threads keep their own counters).
+    // threads keep their own counters). Dry-run probe loads walk only when
+    // their rate bound cannot decide or when they settle, so this counts
+    // settle walks plus the eager final packing's, not packed units.
     const std::size_t walks = UnionProfile::probe_walks();
     if (m == ClosenessMetric::kXor) {
       xor_time = t;
@@ -142,7 +144,6 @@ int main() {
                             .set_number("probe_seconds", r.stats.probe_seconds)
                             .set_number("pair_search_seconds", r.stats.pair_search_seconds)
                             .set_integer("probe_units_packed", r.stats.probe_units_packed)
-                            .set_integer("probe_units_skipped", r.stats.probe_units_skipped)
                             .set_integer("main_thread_probe_walks", walks)
                             .set_integer("base_rebuilds", r.stats.base_rebuilds)
                             .set_integer("speculative_probes", r.stats.speculative_probes)

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "alloc/bin_packing.hpp"
 #include "alloc/cram_incremental.hpp"
 #include "alloc/gif.hpp"
 #include "bench_util.hpp"
@@ -97,6 +98,45 @@ void BM_UnionProfileMergeWithRate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UnionProfileMergeWithRate);
+
+// CRAM's allocation probe: first-fit of ~1,500 capacity-sorted units into a
+// few dry-run broker loads, the packing every overlay probe repeats. The
+// matching-rate test never binds here (as on the benchmark's traffic), so
+// the rate bound decides every accept and no union is walked; the
+// per_unit counter is the cost of one unit's placement.
+void BM_FirstFitProbeDryRun(benchmark::State& state) {
+  Rng rng(5);
+  PublisherTable table;
+  for (std::uint64_t adv = 0; adv < 16; ++adv) {
+    PublisherProfile pub;
+    pub.adv = AdvId{adv};
+    pub.rate_msg_s = 10.0;
+    pub.bw_kb_s = 10.0;
+    pub.last_seq = 1279;
+    table.emplace(pub.adv, pub);
+  }
+  std::vector<SubUnit> units;
+  Bandwidth total_bw = 0;
+  for (std::uint64_t i = 0; i < 1500; ++i) {
+    units.push_back(make_subscription_unit(SubId{i}, random_profile(rng, 40, 16), table));
+    total_bw += units.back().out_bw;
+  }
+  std::vector<const SubUnit*> order;
+  for (const SubUnit& u : units) order.push_back(&u);
+  sort_units_by_bandwidth_desc(order);
+  std::vector<AllocBroker> pool;
+  for (std::size_t b = 0; b < 8; ++b) {
+    pool.push_back(AllocBroker{BrokerId{b}, total_bw / 4 * 1.05, MatchingDelayFunction{}});
+  }
+  for (auto _ : state) {
+    const PackProbe probe = first_fit_probe(pool, order, table);
+    benchmark::DoNotOptimize(probe.brokers_used);
+  }
+  state.counters["per_unit"] = benchmark::Counter(
+      static_cast<double>(order.size()),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FirstFitProbeDryRun);
 
 void BM_Closeness(benchmark::State& state) {
   Rng rng(1);

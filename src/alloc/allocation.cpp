@@ -1,6 +1,7 @@
 #include "alloc/allocation.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 #include "alloc/bin_packing.hpp"
 
@@ -26,6 +27,26 @@ MsgRate Allocation::total_in_rate() const {
   return r;
 }
 
+namespace {
+
+// First-fit placement of one unit: the first load that accepts it.
+bool place(std::vector<BrokerLoad>& loads, const SubUnit& u, const PublisherTable& table) {
+  for (BrokerLoad& load : loads) {
+    if (load.try_add(u, table)) return true;
+  }
+  return false;
+}
+
+std::size_t count_used(const std::vector<BrokerLoad>& loads) {
+  std::size_t n = 0;
+  for (const BrokerLoad& load : loads) {
+    if (!load.empty()) n += 1;
+  }
+  return n;
+}
+
+}  // namespace
+
 PackProbe first_fit_probe(const std::vector<AllocBroker>& pool,
                           const std::vector<const SubUnit*>& units,
                           const PublisherTable& table) {
@@ -35,18 +56,9 @@ PackProbe first_fit_probe(const std::vector<AllocBroker>& pool,
   for (const AllocBroker& b : pool) loads.emplace_back(b, /*keep_units=*/false);
   for (const SubUnit* u : units) {
     probe.units_packed += 1;
-    bool placed = false;
-    for (BrokerLoad& load : loads) {
-      if (load.try_add(*u, table)) {
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) return probe;
+    if (!place(loads, *u, table)) return probe;
   }
-  for (const BrokerLoad& load : loads) {
-    if (!load.empty()) probe.brokers_used += 1;
-  }
+  probe.brokers_used = count_used(loads);
   probe.success = true;
   return probe;
 }
@@ -59,14 +71,7 @@ Allocation first_fit(const std::vector<AllocBroker>& pool, const std::vector<Sub
   for (const AllocBroker& b : pool) loads.emplace_back(b);
 
   for (const SubUnit& u : units) {
-    bool placed = false;
-    for (BrokerLoad& load : loads) {
-      if (load.try_add(u, table)) {
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) return result;  // success stays false
+    if (!place(loads, u, table)) return result;  // success stays false
   }
   for (BrokerLoad& load : loads) {
     if (!load.empty()) result.brokers.push_back(std::move(load));
@@ -75,11 +80,19 @@ Allocation first_fit(const std::vector<AllocBroker>& pool, const std::vector<Sub
   return result;
 }
 
-// --- CheckpointedFirstFit ---
+// --- OverlayFirstFit ---
 
 namespace {
 
-bool unit_ptr_less(const SubUnit* a, const SubUnit* b) { return unit_order_less(*a, *b); }
+using Slot = OverlayFirstFit::Slot;
+
+Slot slot_of(const SubUnit& u) { return Slot{u.out_bw, unit_tiebreak(u), &u}; }
+
+// unit_order_less on cached keys.
+bool slot_less(const Slot& a, const Slot& b) {
+  if (a.out_bw != b.out_bw) return a.out_bw > b.out_bw;
+  return a.tiebreak < b.tiebreak;
+}
 
 bool in_ranges(const SubUnit* u, const std::vector<UnitRange>& ranges) {
   for (const UnitRange& r : ranges) {
@@ -90,147 +103,93 @@ bool in_ranges(const SubUnit* u, const std::vector<UnitRange>& ranges) {
 
 }  // namespace
 
-CheckpointedFirstFit::CheckpointedFirstFit(std::vector<AllocBroker> pool, std::size_t stride)
-    : pool_(std::move(pool)), stride_req_(stride) {
+OverlayFirstFit::OverlayFirstFit(std::vector<AllocBroker> pool) : pool_(std::move(pool)) {
   sort_by_capacity_desc(pool_);
 }
 
-void CheckpointedFirstFit::reset_loads(std::vector<BrokerLoad>& loads) const {
+void OverlayFirstFit::reset_loads(std::vector<BrokerLoad>& loads) const {
+  if (loads.size() == pool_.size()) {
+    // In place, so each load's buffers keep their capacity across probes.
+    for (BrokerLoad& load : loads) load.clear();
+    return;
+  }
   loads.clear();
   loads.reserve(pool_.size());
   for (const AllocBroker& b : pool_) loads.emplace_back(b, /*keep_units=*/false);
 }
 
-std::size_t CheckpointedFirstFit::load_checkpoint(std::size_t resume_pos,
-                                                  std::vector<BrokerLoad>& loads) const {
-  if (stride_ != kNoCheckpoints && valid_ckpts_ > 0) {
-    const std::size_t covered = std::min(resume_pos, valid_ckpts_ * stride_);
-    const std::size_t idx = covered / stride_;  // whole checkpoints usable
-    if (idx > 0) {
-      loads = ckpts_[idx - 1];
-      return idx * stride_;
-    }
-  }
-  reset_loads(loads);
-  return 0;
+std::size_t OverlayFirstFit::find(const SubUnit& u) const {
+  const Slot key = slot_of(u);
+  const auto it = std::lower_bound(slots_.begin(), slots_.end(), key, slot_less);
+  assert(it != slots_.end() && !slot_less(key, *it) && "unit is not in the base");
+  return static_cast<std::size_t>(it - slots_.begin());
 }
 
-const PackProbe& CheckpointedFirstFit::rebuild(std::vector<const SubUnit*> units,
-                                               const PublisherTable& table,
-                                               std::size_t resume_pos) {
-  std::sort(units.begin(), units.end(), unit_ptr_less);
-  if (stride_ == kNoCheckpoints && stride_req_ != kNoCheckpoints) {
-    // Resolve the auto stride once, against the first base size, and keep it
-    // fixed so checkpoint positions never shift between rebuilds.
-    stride_ = stride_req_ != 0 ? stride_req_ : std::max<std::size_t>(16, units.size() / 64);
-  }
+const PackProbe& OverlayFirstFit::rebuild(std::vector<const SubUnit*> units,
+                                          const PublisherTable& table) {
+  slots_.clear();
+  slots_.reserve(units.size());
+  for (const SubUnit* u : units) slots_.push_back(slot_of(*u));
+  std::sort(slots_.begin(), slots_.end(), slot_less);
 
-  const std::size_t start = load_checkpoint(std::min(resume_pos, units.size()), work_);
-  valid_ckpts_ = stride_ != kNoCheckpoints ? start / stride_ : 0;
-  units_ = std::move(units);
-
+  reset_loads(work_);
   base_ = PackProbe{};
-  base_.units_skipped = start;
-  for (std::size_t i = start; i < units_.size(); ++i) {
+  for (const Slot& s : slots_) {
     base_.units_packed += 1;
-    bool placed = false;
-    for (BrokerLoad& load : work_) {
-      if (load.try_add(*units_[i], table)) {
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) return base_;  // success stays false; prefix checkpoints stay valid
-    if (stride_ != kNoCheckpoints && (i + 1) % stride_ == 0) {
-      const std::size_t idx = (i + 1) / stride_ - 1;
-      if (idx < ckpts_.size()) {
-        ckpts_[idx] = work_;
-      } else {
-        ckpts_.push_back(work_);
-      }
-      valid_ckpts_ = idx + 1;
-    }
+    if (!place(work_, *s.unit, table)) return base_;  // success stays false
   }
-  for (const BrokerLoad& load : work_) {
-    if (!load.empty()) base_.brokers_used += 1;
-  }
+  base_.brokers_used = count_used(work_);
   base_.success = true;
   return base_;
 }
 
-void CheckpointedFirstFit::adopt(std::vector<const SubUnit*> units, std::size_t resume_pos,
-                                 const PackProbe& result) {
-  std::sort(units.begin(), units.end(), unit_ptr_less);
-  if (stride_ == kNoCheckpoints && stride_req_ != kNoCheckpoints) {
-    stride_ = stride_req_ != 0 ? stride_req_ : std::max<std::size_t>(16, units.size() / 64);
+void OverlayFirstFit::splice(const std::vector<UnitRange>& removed, const SubUnit& added,
+                             const PackProbe& result) {
+  // Mark the removed slots, then close the gaps in one pass from the first.
+  std::size_t first = slots_.size();
+  for (const UnitRange& r : removed) {
+    for (const SubUnit* u = r.first; u != r.last; ++u) {
+      const std::size_t i = find(*u);
+      slots_[i].unit = nullptr;
+      first = std::min(first, i);
+    }
   }
-  if (stride_ != kNoCheckpoints) {
-    // Checkpoints fully inside the unchanged prefix still describe this
-    // sequence; the rest are stale and dropped (never lazily refreshed).
-    valid_ckpts_ = std::min(valid_ckpts_, std::min(resume_pos, units.size()) / stride_);
-  }
-  units_ = std::move(units);
+  slots_.erase(std::remove_if(slots_.begin() + static_cast<std::ptrdiff_t>(first), slots_.end(),
+                              [](const Slot& s) { return s.unit == nullptr; }),
+               slots_.end());
+  const Slot add = slot_of(added);
+  slots_.insert(std::lower_bound(slots_.begin(), slots_.end(), add, slot_less), add);
   base_ = result;
   // The packing work was already accounted when the adopted probe ran.
   base_.units_packed = 0;
-  base_.units_skipped = 0;
 }
 
-std::size_t CheckpointedFirstFit::divergence_position(const std::vector<UnitRange>& removed,
-                                                      const SubUnit* added) const {
-  // With the total unit order (unique member-id tiebreak), lower_bound over
-  // the sorted base yields the exact index of a base unit, and for `added`
-  // the position it would be spliced into.
-  std::size_t pos = units_.size();
-  if (added != nullptr) {
-    const auto it = std::lower_bound(units_.begin(), units_.end(), added, unit_ptr_less);
-    pos = static_cast<std::size_t>(it - units_.begin());
-  }
-  for (const UnitRange& r : removed) {
-    if (r.first == r.last) continue;
-    const SubUnit* earliest = &*std::min_element(r.first, r.last, unit_order_less);
-    const auto it = std::lower_bound(units_.begin(), units_.end(), earliest, unit_ptr_less);
-    pos = std::min(pos, static_cast<std::size_t>(it - units_.begin()));
-  }
-  return pos;
+void OverlayFirstFit::repoint(const std::vector<SubUnit>& units) {
+  for (const SubUnit& u : units) slots_[find(u)].unit = &u;
 }
 
-PackProbe CheckpointedFirstFit::probe_replacement(const std::vector<UnitRange>& removed,
-                                                  const SubUnit* added,
-                                                  const PublisherTable& table,
-                                                  Scratch& scratch) const {
+PackProbe OverlayFirstFit::probe_replacement(const std::vector<UnitRange>& removed,
+                                             const SubUnit* added,
+                                             const PublisherTable& table,
+                                             Scratch& scratch) const {
   PackProbe probe;
-  const std::size_t diverge = divergence_position(removed, added);
-  const std::size_t start = load_checkpoint(diverge, scratch.loads);
-  // Base prefix [0, start) is identical in the overlay (every removed unit
-  // and the insertion point lie at positions >= diverge >= start), so the
-  // checkpointed state stands in for packing it.
-  probe.units_skipped = start;
-
+  reset_loads(scratch.loads);
+  const Slot add = added != nullptr ? slot_of(*added) : Slot{};
   bool pending_add = added != nullptr;
-  std::size_t i = start;
-  while (i < units_.size() || pending_add) {
+  std::size_t i = 0;
+  while (i < slots_.size() || pending_add) {
     const SubUnit* next = nullptr;
-    if (pending_add && (i == units_.size() || unit_order_less(*added, *units_[i]))) {
+    if (pending_add && (i == slots_.size() || slot_less(add, slots_[i]))) {
       next = added;
       pending_add = false;
     } else {
-      next = units_[i++];
+      next = slots_[i++].unit;
       if (in_ranges(next, removed)) continue;
     }
     probe.units_packed += 1;
-    bool placed = false;
-    for (BrokerLoad& load : scratch.loads) {
-      if (load.try_add(*next, table)) {
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) return probe;
+    if (!place(scratch.loads, *next, table)) return probe;
   }
-  for (const BrokerLoad& load : scratch.loads) {
-    if (!load.empty()) probe.brokers_used += 1;
-  }
+  probe.brokers_used = count_used(scratch.loads);
   probe.success = true;
   return probe;
 }

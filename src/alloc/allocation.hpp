@@ -1,10 +1,10 @@
 // Allocation result type and the shared first-fit core used by FBF,
-// BIN PACKING and (as its inner allocation test) CRAM, plus the
-// checkpointed incremental packer behind CRAM's allocation probes.
+// BIN PACKING and (as its inner allocation test) CRAM, plus the overlay
+// packer behind CRAM's allocation probes.
 #pragma once
 
 #include <cstddef>
-#include <limits>
+#include <cstdint>
 #include <vector>
 
 #include "alloc/broker_pool.hpp"
@@ -38,12 +38,9 @@ struct Allocation {
 struct PackProbe {
   bool success = false;
   std::size_t brokers_used = 0;
-  // Units this probe actually walked through the allocation test, and units
-  // whose packing was skipped by resuming from a checkpoint. For any one
-  // overlay, packed + skipped equals the overlay length regardless of the
-  // checkpoint interval.
+  // Units this probe walked through the allocation test (the overlay length
+  // on success, up to and including the unplaceable unit on failure).
   std::size_t units_packed = 0;
-  std::size_t units_skipped = 0;
 };
 
 [[nodiscard]] PackProbe first_fit_probe(const std::vector<AllocBroker>& pool,
@@ -57,84 +54,77 @@ struct UnitRange {
   const SubUnit* last = nullptr;
 };
 
-// Incremental, resumable first-fit packing.
+// First-fit packing of one base unit sequence plus overlays of it.
 //
-// Holds one base packing of a sorted unit sequence and snapshots the broker
-// states every `stride` units. An overlay probe (base minus some unit
-// ranges, plus at most one spliced-in unit) then resumes from the nearest
-// checkpoint before the first position where the overlay diverges from the
-// base, instead of repacking from scratch — first-fit state after k units
-// depends only on those k units in order, so the resumed result is
-// bit-identical to a from-scratch packing of the overlay. Rebuilding after
-// a committed overlay resumes the same way via `resume_pos`.
+// Holds the committed unit set sorted in first-fit order (unit_order_less).
+// An overlay probe packs the base minus some unit ranges, plus at most one
+// spliced-in unit, from scratch into caller-owned dry-run loads — no unit
+// vector is copied or re-sorted. A committed overlay's winning probe is
+// adopted as the next base result, and the base order is updated by
+// splicing (erase the removed units' slots, insert the merged unit's) and
+// repointing the slots of units that moved in memory, so commits neither
+// re-pack nor re-sort.
 //
 // probe_replacement is const and touches only caller-owned scratch, so
 // probes may run concurrently (CRAM's speculative parallel k-search).
-class CheckpointedFirstFit {
+class OverlayFirstFit {
  public:
-  // No checkpoints: every probe and rebuild packs from position 0.
-  static constexpr std::size_t kNoCheckpoints = std::numeric_limits<std::size_t>::max();
+  explicit OverlayFirstFit(std::vector<AllocBroker> pool);
 
-  // `stride` = checkpoint interval in units; 0 resolves to ~n/64 (min 16) at
-  // the first rebuild and stays fixed so checkpoint positions never shift.
-  explicit CheckpointedFirstFit(std::vector<AllocBroker> pool, std::size_t stride = 0);
+  // One base unit with its sort key cached, so searches and merges of the
+  // order never dereference the unit. (out_bw descending, tiebreak
+  // ascending) is exactly unit_order_less — a strict total order when
+  // tiebreak keys (first member ids) are unique, as they are in CRAM.
+  struct Slot {
+    Bandwidth out_bw = 0;
+    std::uint64_t tiebreak = 0;
+    const SubUnit* unit = nullptr;
+  };
 
-  // Per-probe working state (broker loads), reusable across probes and
-  // owned per worker thread during parallel searches.
+  // Per-probe working state (dry-run broker loads, left unsettled by the
+  // probe), reusable across probes of one packer and owned per worker
+  // thread during parallel searches.
   struct Scratch {
     std::vector<BrokerLoad> loads;
   };
 
-  // Pack `units` as the new base, snapshotting broker states. The caller
-  // guarantees units[0, resume_pos) is identical (by pointee value and
-  // order) to the previous base prefix, so checkpoints before resume_pos
-  // are reused and only the tail is repacked. Pass 0 for a full rebuild.
-  // `units` is borrowed by pointer values; pointees must stay alive and
-  // unchanged until the next rebuild.
-  const PackProbe& rebuild(std::vector<const SubUnit*> units, const PublisherTable& table,
-                           std::size_t resume_pos = 0);
+  // Sort `units` and pack them as the new base. `units` is borrowed by
+  // pointer values; pointees must stay alive and unchanged until the next
+  // rebuild, or be repointed when they move.
+  const PackProbe& rebuild(std::vector<const SubUnit*> units, const PublisherTable& table);
 
-  // Install `units` as the new base WITHOUT packing: `result` must be the
-  // probe result of exactly this sequence (a committed overlay's winning
-  // probe). Checkpoints at positions <= resume_pos stay valid by content;
-  // later ones are dropped, not refreshed — a zero-cost commit trades
-  // checkpoint coverage for skipping the entire re-pack.
-  void adopt(std::vector<const SubUnit*> units, std::size_t resume_pos,
-             const PackProbe& result);
+  // Turn the base into the committed overlay (base − removed + added)
+  // without packing: `result` must be that overlay's probe result (the
+  // commit's winning probe). Call while `removed` still points into live
+  // units. The inserted slot points at `added`; repoint it once the unit
+  // reaches its final address.
+  void splice(const std::vector<UnitRange>& removed, const SubUnit& added,
+              const PackProbe& result);
+
+  // `units` now live at new addresses (e.g. a GIF vector after erase, push
+  // or sort): point every base slot with the same key at its new address.
+  // Every unit must be in the base.
+  void repoint(const std::vector<SubUnit>& units);
 
   [[nodiscard]] const PackProbe& base() const { return base_; }
-  [[nodiscard]] const std::vector<const SubUnit*>& units() const { return units_; }
-  [[nodiscard]] std::size_t stride() const { return stride_; }
-  [[nodiscard]] std::size_t checkpoint_count() const { return valid_ckpts_; }
+  [[nodiscard]] const std::vector<Slot>& slots() const { return slots_; }
 
-  // Feasibility of the base sequence minus `removed` plus `added` (nullable),
-  // resumed from the nearest checkpoint before the first divergence. Every
-  // removed range must reference units of the current base.
+  // Feasibility of the base sequence minus `removed` plus `added` (nullable).
+  // Every removed range must reference units of the current base. Leaves
+  // scratch.loads unsettled.
   [[nodiscard]] PackProbe probe_replacement(const std::vector<UnitRange>& removed,
                                             const SubUnit* added,
                                             const PublisherTable& table,
                                             Scratch& scratch) const;
 
-  // First pack-order position where the overlay diverges from the base —
-  // the checkpoint-resume point, exposed so a commit can hand it to the
-  // next rebuild as `resume_pos`.
-  [[nodiscard]] std::size_t divergence_position(const std::vector<UnitRange>& removed,
-                                                const SubUnit* added) const;
-
  private:
   void reset_loads(std::vector<BrokerLoad>& loads) const;
-  // Copy the checkpointed state covering positions [0, resume_pos) into
-  // `loads`; returns the number of base units that state accounts for.
-  std::size_t load_checkpoint(std::size_t resume_pos, std::vector<BrokerLoad>& loads) const;
+  // Index of the slot keyed like `u` (which must be in the base).
+  [[nodiscard]] std::size_t find(const SubUnit& u) const;
 
   std::vector<AllocBroker> pool_;  // capacity-sorted
-  std::size_t stride_req_;
-  std::size_t stride_ = kNoCheckpoints;
-  std::vector<const SubUnit*> units_;
-  // ckpts_[i] = broker states after packing (i+1)*stride_ base units.
-  std::vector<std::vector<BrokerLoad>> ckpts_;
-  std::size_t valid_ckpts_ = 0;
-  std::vector<BrokerLoad> work_;  // rebuild working state
+  std::vector<Slot> slots_;        // base units in first-fit order
+  std::vector<BrokerLoad> work_;   // rebuild working state
   PackProbe base_;
 };
 

@@ -6,17 +6,15 @@
 
 namespace greenps {
 
-namespace {
-std::uint64_t tiebreak_key(const SubUnit& u) {
+std::uint64_t unit_tiebreak(const SubUnit& u) {
   if (!u.members.empty()) return u.members.front().value();
   if (!u.child_members.empty()) return u.child_members.front().value();
   return 0;
 }
-}  // namespace
 
 bool unit_order_less(const SubUnit& a, const SubUnit& b) {
   if (a.out_bw != b.out_bw) return a.out_bw > b.out_bw;
-  return tiebreak_key(a) < tiebreak_key(b);
+  return unit_tiebreak(a) < unit_tiebreak(b);
 }
 
 void sort_units_by_bandwidth_desc(std::vector<SubUnit>& units) {

@@ -33,12 +33,6 @@ struct CramOptions {
   // bit-identical for every thread count — the searches read a snapshot and
   // merge deterministically. GREENPS_CRAM_THREADS, when set, overrides this.
   std::size_t threads = 0;
-  // Checkpoint interval, in units, of the incremental allocation probe
-  // (CheckpointedFirstFit): 0 resolves to ~initial_units/64,
-  // CheckpointedFirstFit::kNoCheckpoints disables resume so every probe
-  // packs from scratch. Any value yields bit-identical allocations; only
-  // the amount of packing work skipped changes.
-  std::size_t probe_checkpoint_stride = 0;
   // Drift re-baselining for IncrementalCram sessions: after this many
   // apply() deltas, the session folds a from-scratch convergence over the
   // live population into itself, resetting accumulated clustering drift
@@ -54,7 +48,7 @@ struct CramStats {
   std::size_t closeness_computations = 0;
   // Decision-path allocation probes (BIN PACKING feasibility tests). Does
   // not include speculative probes, so it is identical for every thread
-  // count and checkpoint stride.
+  // count.
   std::size_t allocation_runs = 0;
   std::size_t clusterings_applied = 0;
   std::size_t clusterings_rejected = 0;     // failed allocation test
@@ -62,22 +56,18 @@ struct CramStats {
   std::size_t iterations = 0;
   std::size_t final_units = 0;              // clusters in the result
   std::size_t threads_used = 1;             // resolved pair-search thread count
-  // Checkpoint-resume effectiveness, summed over base rebuilds and
-  // decision-path probes: units walked through the allocation test vs.
-  // units whose packing a checkpoint stood in for. packed + skipped is
-  // invariant across strides and thread counts; the packed:skipped ratio is
-  // the work the incremental probe avoids.
+  // Units walked through the allocation test, summed over base rebuilds
+  // and decision-path probes; identical for every thread count.
   std::size_t probe_units_packed = 0;
-  std::size_t probe_units_skipped = 0;
-  // Re-packs of the committed unit set (each resumes from the divergence
-  // position of the committed overlay, so it is mostly checkpoint replay).
+  // From-scratch sorts and packs of the committed unit set: one per run()
+  // and one per reconverge() after a delta. Commits splice instead.
   std::size_t base_rebuilds = 0;
   // k-search probes evaluated ahead of need on worker threads that the
   // decision path then never consumed. Excluded from every other counter;
   // the only stat that may vary with the thread count.
   std::size_t speculative_probes = 0;
   double poset_build_seconds = 0;
-  double probe_seconds = 0;        // packing: rebuilds + probes (incl. speculative)
+  double probe_seconds = 0;        // packing: rebuilds, probes (incl. speculative), splices
   double pair_search_seconds = 0;  // best-partner search (refresh_dirty)
   double total_seconds = 0;
 };

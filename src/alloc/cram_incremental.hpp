@@ -7,8 +7,8 @@
 // (insert/remove, no DAG rebuild), clusters that lost members are shrunk in
 // place (the survivors re-enter as one unit, re-OR'd from their original
 // profiles), and only the dirty neighborhoods are re-searched and
-// re-clustered — the checkpointed first-fit base serves as the warm start
-// for every feasibility probe. Costs scale with the delta, not the live
+// re-clustered — one sorted first-fit base, re-packed once per delta,
+// serves every feasibility probe. Costs scale with the delta, not the live
 // subscription population.
 //
 // The result is NOT guaranteed bit-identical to a from-scratch run: pairs

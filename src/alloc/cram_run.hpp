@@ -2,7 +2,7 @@
 //
 // CramRun holds the full mutable state of one CRAM optimization — GIF pool,
 // containment poset, clustering blacklist, best-partner cache and the
-// checkpointed incremental packer — and exposes two drivers:
+// overlay packer — and exposes two drivers:
 //
 //   run()                      the one-shot convergence cram_allocate() uses
 //   apply_delta()/reconverge() the subscription-churn delta path: splice
@@ -80,7 +80,7 @@ class CramRun {
   CramRun(std::vector<AllocBroker> pool, std::vector<SubUnit> units,
           const PublisherTable& table, const CramOptions& opts)
       : pool_(std::move(pool)), table_(table), opts_(opts),
-        packer_(pool_, opts.probe_checkpoint_stride),
+        packer_(pool_),
         threads_(ThreadPool::resolve(opts.threads)) {
     sort_by_capacity_desc(pool_);
     stats_.initial_units = units.size();
@@ -187,10 +187,9 @@ class CramRun {
   DeltaOutcome apply_delta(std::vector<SubUnit> added, const std::vector<SubId>& removed,
                            const std::unordered_map<SubId, SubUnit>& originals) {
     DeltaOutcome out;
-    // The packer's pending adopt/resume hints describe the pre-delta unit
-    // sequence; mutating units under them would corrupt the next base.
-    // Force a from-scratch rebuild at the next ensure_base() instead.
-    drop_pending_base();
+    // The delta mutates units outside the commit discipline: re-sort and
+    // re-pack the base from scratch at the next ensure_base().
+    invalidate_base();
 
     if (!removed.empty()) {
       const std::unordered_set<SubId> rm(removed.begin(), removed.end());
@@ -352,7 +351,6 @@ class CramRun {
     reg.counter("cram.one_to_many_applied").add(s.one_to_many_applied);
     reg.counter("cram.speculative_probes").add(s.speculative_probes);
     reg.counter("cram.probe_units_packed").add(s.probe_units_packed);
-    reg.counter("cram.probe_units_skipped").add(s.probe_units_skipped);
     reg.counter("cram.base_rebuilds").add(s.base_rebuilds);
     reg.gauge("cram.final_units").set(static_cast<double>(s.final_units));
     reg.gauge("cram.total_seconds").set(s.total_seconds);
@@ -402,47 +400,47 @@ class CramRun {
   // ---- allocation probes ----
   //
   // CRAM's allocation test is a BIN PACKING feasibility probe served by an
-  // incremental packer (CheckpointedFirstFit): the committed unit set is
-  // packed once into a checkpointed base, and every tentative clustering is
-  // probed as an overlay (base minus the units being merged, plus the
-  // merged unit spliced in at its sort position) resumed from the nearest
-  // checkpoint before the overlay's first divergence from the base. No GIF
-  // is mutated by a probe, so rejected clusterings have nothing to restore,
-  // and a commit's winning probe already packed exactly the next base — it
-  // is adopted outright, so commits re-pack nothing at all.
+  // overlay packer (OverlayFirstFit): the committed unit set is kept sorted
+  // in first-fit order, and every tentative clustering is probed as an
+  // overlay (base minus the units being merged, plus the merged unit
+  // spliced in at its sort position) packed into dry-run loads. No GIF is
+  // mutated by a probe, so rejected clusterings have nothing to restore. A
+  // commit's winning probe already packed exactly the next base, so it is
+  // adopted outright, and the base order is spliced rather than re-sorted:
+  // commits re-pack nothing and sort nothing.
 
-  // Unknown divergence: the next rebuild packs from scratch.
-  void invalidate_base() {
-    if (base_valid_) pending_resume_ = 0;
-    base_valid_ = false;
-  }
+  // The unit set changed outside a commit (a delta): the next ensure_base()
+  // re-sorts and re-packs from scratch.
+  void invalidate_base() { base_valid_ = false; }
 
-  // Discard any pending adopt/resume hint outright: the next ensure_base()
-  // packs from scratch. Required before delta mutations, whose changes the
-  // commit discipline never described.
-  void drop_pending_base() {
-    base_valid_ = false;
-    have_adopted_ = false;
-    pending_resume_ = 0;
-  }
-
-  // A committed overlay: the winning probe's packing IS the next base, so
-  // record it for adoption — the next ensure_base installs it without
-  // packing a single unit. Checkpoints before the divergence position stay
-  // valid. Must run while the base is still valid and `removed` still
-  // points into live GIF unit vectors — i.e. before the commit erases
-  // anything.
-  void commit_base(const std::vector<UnitRange>& removed, const SubUnit* added,
+  // A committed overlay: splice the base into the committed unit order and
+  // adopt the winning probe as its result. Must run before the commit
+  // erases anything (`removed` must still point into live GIF units); the
+  // commit then repoints every GIF it mutated (repoint_base), which also
+  // moves the merged unit's slot from `added` to its home in a GIF.
+  void commit_base(const std::vector<UnitRange>& removed, const SubUnit& added,
                    const PackProbe& winning) {
-    const std::size_t pos = packer_.divergence_position(removed, added);
-    pending_resume_ = base_valid_ ? pos : std::min(pending_resume_, pos);
-    base_valid_ = false;
-    adopted_ = winning;
-    have_adopted_ = true;
+    assert(base_valid_);
+    const auto t0 = Clock::now();
+    packer_.splice(removed, added, winning);
+    stats_.probe_seconds += seconds_since(t0);
+  }
+
+  // Erase, push_back and sort_units move a GIF's units in memory: point
+  // their base slots at the new addresses. No-op for a removed GIF.
+  void repoint_base(std::uint64_t id) {
+    const auto it = gifs_.find(id);
+    if (it == gifs_.end()) return;
+    const auto t0 = Clock::now();
+    packer_.repoint(it->second.units);
+    stats_.probe_seconds += seconds_since(t0);
   }
 
   void ensure_base() {
-    if (base_valid_) return;
+    if (base_valid_) {
+      assert(base_matches_gifs());
+      return;
+    }
     const auto t0 = Clock::now();
     std::size_t total = 0;
     for (const auto& [id, g] : gifs_) {
@@ -455,24 +453,30 @@ class CramRun {
       (void)id;
       for (const SubUnit& u : g.units) units.push_back(&u);
     }
-    if (have_adopted_) {
-      // The unit multiset is exactly the committed overlay the adopted probe
-      // packed (base − removed + merged), so no packing is needed.
-      packer_.adopt(std::move(units), pending_resume_, adopted_);
-      have_adopted_ = false;
-    } else {
-      const PackProbe& base = packer_.rebuild(std::move(units), table_, pending_resume_);
-      ++stats_.base_rebuilds;
-      count_probe_work(base);
-    }
-    pending_resume_ = 0;
+    const PackProbe& base = packer_.rebuild(std::move(units), table_);
+    ++stats_.base_rebuilds;
+    count_probe_work(base);
     base_valid_ = true;
     stats_.probe_seconds += seconds_since(t0);
   }
 
-  void count_probe_work(const PackProbe& p) {
-    stats_.probe_units_packed += p.units_packed;
-    stats_.probe_units_skipped += p.units_skipped;
+  void count_probe_work(const PackProbe& p) { stats_.probe_units_packed += p.units_packed; }
+
+  // The commit discipline's invariant (checked in debug builds): the spliced
+  // and repointed base is exactly a from-scratch sort of the live units.
+  [[nodiscard]] bool base_matches_gifs() const {
+    std::vector<const SubUnit*> live;
+    for (const auto& [id, g] : gifs_) {
+      (void)id;
+      for (const SubUnit& u : g.units) live.push_back(&u);
+    }
+    sort_units_by_bandwidth_desc(live);
+    const auto& slots = packer_.slots();
+    if (slots.size() != live.size()) return false;
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      if (slots[i].unit != live[i]) return false;
+    }
+    return true;
   }
 
   // Broker minimization is CRAM's primary objective, so a clustering whose
@@ -594,9 +598,6 @@ class CramRun {
   // gif's, in which case the unit joins that gif). Returns the gif id the
   // unit ended up in.
   std::uint64_t commit_new_unit(SubUnit unit) {
-    // Keeps any divergence hint a commit already recorded: the new unit
-    // splices in at (or after) that position, so earlier checkpoints hold.
-    invalidate_base();
     if (opts_.poset_pruning) {
       const std::uint64_t id = next_id_++;
       const auto ins = poset_.insert(unit.profile, id);
@@ -641,9 +642,6 @@ class CramRun {
   }
 
   void remove_gif(std::uint64_t id) {
-    // Only ever called for GIFs whose units were already erased (and
-    // accounted in a divergence hint), so the hint survives.
-    invalidate_base();
     if (opts_.poset_pruning) {
       const auto it = node_of_.find(id);
       if (it != node_of_.end()) {
@@ -803,7 +801,7 @@ class CramRun {
     // fold prefixes: upto(k − 1) is units[0] clustered with units[1..k).
     PrefixFold fold(g.units[0], g.units.data() + 1, table_);
     auto materialize = [&](std::size_t k) { (void)fold.upto(k - 1); };
-    auto probe_at = [&](std::size_t k, CheckpointedFirstFit::Scratch& scratch) {
+    auto probe_at = [&](std::size_t k, OverlayFirstFit::Scratch& scratch) {
       return packer_.probe_replacement({{g.units.data(), g.units.data() + k}},
                                        &fold.upto(k - 1), table_, scratch);
     };
@@ -817,10 +815,11 @@ class CramRun {
     const std::size_t lo = search_max(2, n, winning, materialize, probe_at);
     // Commit k = lo.
     SubUnit merged = fold.upto(lo - 1);
-    commit_base({{g.units.data(), g.units.data() + lo}}, &merged, winning);
+    commit_base({{g.units.data(), g.units.data() + lo}}, merged, winning);
     g.units.erase(g.units.begin(), g.units.begin() + static_cast<std::ptrdiff_t>(lo));
     g.units.push_back(std::move(merged));
     g.sort_units();
+    repoint_base(gid);
     best_brokers_ = winning.brokers_used;
     ++stats_.clusterings_applied;
     dirty_.insert(gid);
@@ -868,7 +867,7 @@ class CramRun {
       add_blacklist(a, b);
       return;
     }
-    commit_base(removed, &merged, probe);
+    commit_base(removed, merged, probe);
     ga.units.erase(ga.units.begin());
     gb.units.erase(gb.units.begin());
     best_brokers_ = probe.brokers_used;
@@ -883,7 +882,10 @@ class CramRun {
     } else {
       dirty_.insert(b);
     }
-    commit_new_unit(std::move(merged));
+    const std::uint64_t home = commit_new_unit(std::move(merged));
+    repoint_base(a);
+    repoint_base(b);
+    repoint_base(home);
   }
 
   // Covering relation: cluster the lightest unit of the covering GIF with
@@ -897,7 +899,7 @@ class CramRun {
     // profile never changes (covered ⊆ cover), only the unit load does.
     PrefixFold fold(cover.units.front(), covered.units.data(), table_);
     auto materialize = [&](std::size_t m) { (void)fold.upto(m); };
-    auto probe_at = [&](std::size_t m, CheckpointedFirstFit::Scratch& scratch) {
+    auto probe_at = [&](std::size_t m, OverlayFirstFit::Scratch& scratch) {
       return packer_.probe_replacement({{cover.units.data(), cover.units.data() + 1},
                                         {covered.units.data(), covered.units.data() + m}},
                                        &fold.upto(m), table_, scratch);
@@ -913,7 +915,7 @@ class CramRun {
     SubUnit merged = fold.upto(lo);
     commit_base({{cover.units.data(), cover.units.data() + 1},
                  {covered.units.data(), covered.units.data() + lo}},
-                &merged, winning);
+                merged, winning);
     cover.units.erase(cover.units.begin());
     covered.units.erase(covered.units.begin(),
                         covered.units.begin() + static_cast<std::ptrdiff_t>(lo));
@@ -927,6 +929,8 @@ class CramRun {
     } else {
       dirty_.insert(covered_id);
     }
+    repoint_base(cover_id);
+    repoint_base(covered_id);
   }
 
   // Optimization 3 (Section IV-C.3): before clustering an intersect pair,
@@ -1013,7 +1017,7 @@ class CramRun {
     if (!probe.success) {
       return false;  // fall back to the pairwise merge (no blacklist)
     }
-    commit_base(removed, &merged, probe);
+    commit_base(removed, merged, probe);
     parent.units.erase(parent.units.begin());
     for (const std::uint64_t cid : chosen) {
       Gif& cg = gif(cid);
@@ -1032,6 +1036,8 @@ class CramRun {
         dirty_.insert(cid);
       }
     }
+    repoint_base(parent_id);
+    for (const std::uint64_t cid : chosen) repoint_base(cid);
     return true;
   }
 
@@ -1047,16 +1053,13 @@ class CramRun {
   std::unordered_map<std::uint64_t, Candidate> best_;
   std::unordered_set<std::uint64_t> dirty_;
   std::size_t best_brokers_ = 0;
-  // Incremental allocation probe (see "allocation probes" above). Declared
+  // Overlay allocation probe (see "allocation probes" above). Declared
   // after pool_ — the packer copies it before the ctor body sorts it (the
   // packer capacity-sorts its own copy).
-  CheckpointedFirstFit packer_;
-  CheckpointedFirstFit::Scratch probe_scratch_;
-  std::vector<CheckpointedFirstFit::Scratch> spec_scratch_;  // one per worker slot
+  OverlayFirstFit packer_;
+  OverlayFirstFit::Scratch probe_scratch_;
+  std::vector<OverlayFirstFit::Scratch> spec_scratch_;  // one per worker slot
   bool base_valid_ = false;
-  std::size_t pending_resume_ = 0;
-  PackProbe adopted_;  // winning probe of the last committed overlay
-  bool have_adopted_ = false;
   // Worker pool (pair search + speculative k-search), created on first use.
   std::size_t threads_ = 1;
   std::size_t spec_levels_ = 0;  // k-search speculation depth; 0 = sequential

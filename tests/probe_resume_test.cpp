@@ -1,14 +1,16 @@
-// Differential suite for the incremental allocation probe.
+// Differential suite for the overlay allocation probe and the lazy dry-run
+// broker load under it.
 //
-// CheckpointedFirstFit::probe_replacement promises bit-identical results to
-// a from-scratch first-fit packing of the overlay, for every checkpoint
-// stride. These tests hold it to that promise: randomized overlays (removed
-// ranges + a spliced-in unit) are probed through checkpoint resume and
-// compared — outcome, broker count, work accounting AND final broker states
-// — against the first_fit_probe oracle, across strides {none, 1, 3, 8,
-// auto}. Directed cases cover the edges: first/last unit removed, the whole
-// base removed, empty overlays, adds that sort first/last, multi-round
-// commit-with-hint rebuilds and zero-pack adoption.
+// OverlayFirstFit::probe_replacement promises bit-identical results to a
+// from-scratch first-fit packing of the overlay. These tests hold it to
+// that promise: randomized overlays (removed ranges + a spliced-in unit) are
+// probed and compared — outcome, broker count, work accounting AND final
+// broker states — against the first_fit_probe oracle and an eager packing.
+// Directed cases cover the edges: first/last unit removed, the whole base
+// removed, empty overlays and adds that sort first/last. Commits are checked
+// too: a spliced, repointed base must equal a from-scratch sorted rebuild
+// pointer for pointer. Finally the lazy dry-run BrokerLoad is run step by
+// step against an eager one.
 #include "alloc/allocation.hpp"
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "alloc/bin_packing.hpp"
+#include "alloc/gif.hpp"
 #include "alloc_test_util.hpp"
 #include "common/rng.hpp"
 
@@ -26,16 +29,19 @@ namespace {
 
 using testutil::range_profile;
 
-constexpr std::size_t kAuto = 0;
-constexpr std::size_t kNone = CheckpointedFirstFit::kNoCheckpoints;
-const std::vector<std::size_t> kStrides = {kNone, 1, 3, 8, kAuto};
-
 PublisherTable three_publishers() {
   PublisherTable t;
   t[AdvId{0}] = PublisherProfile{AdvId{0}, 100.0, 100.0, 100000};
   t[AdvId{1}] = PublisherProfile{AdvId{1}, 60.0, 80.0, 100000};
   t[AdvId{2}] = PublisherProfile{AdvId{2}, 25.0, 40.0, 100000};
   return t;
+}
+
+SubUnit random_unit(std::uint64_t id, Rng& rng, const PublisherTable& table) {
+  const auto adv = AdvId{static_cast<std::uint64_t>(rng.uniform_int(0, 2))};
+  const auto from = static_cast<MessageSeq>(rng.uniform_int(0, 60));
+  const auto len = static_cast<MessageSeq>(rng.uniform_int(1, 35));
+  return make_subscription_unit(SubId{id}, range_profile(from, from + len, adv), table);
 }
 
 // Stable unit storage: probes hold pointers into it and UnitRange is a raw
@@ -56,26 +62,33 @@ struct Workload {
   }
 };
 
-Workload random_workload(Rng& rng) {
-  Workload w;
+std::vector<AllocBroker> random_pool(Rng& rng) {
+  std::vector<AllocBroker> pool;
   const auto brokers = static_cast<std::size_t>(rng.uniform_int(1, 6));
   for (std::size_t i = 0; i < brokers; ++i) {
-    w.pool.push_back(AllocBroker{BrokerId{i}, rng.uniform_real(30.0, 200.0),
-                                 MatchingDelayFunction{20e-6, 0.5e-6}});
+    pool.push_back(AllocBroker{BrokerId{i}, rng.uniform_real(30.0, 200.0),
+                               MatchingDelayFunction{20e-6, 0.5e-6}});
   }
+  return pool;
+}
+
+Workload random_workload(Rng& rng) {
+  Workload w;
+  w.pool = random_pool(rng);
   const auto n = static_cast<std::size_t>(rng.uniform_int(3, 40));
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto adv = AdvId{static_cast<std::uint64_t>(rng.uniform_int(0, 2))};
-    const auto from = static_cast<MessageSeq>(rng.uniform_int(0, 60));
-    const auto len = static_cast<MessageSeq>(rng.uniform_int(1, 35));
-    w.add_unit(i, from, from + len, adv);
-  }
+  for (std::size_t i = 0; i < n; ++i) w.storage.push_back(random_unit(i, rng, w.table));
   return w;
 }
 
 std::vector<const SubUnit*> all_ptrs(const Workload& w) {
   std::vector<const SubUnit*> out;
   for (const SubUnit& u : w.storage) out.push_back(&u);
+  return out;
+}
+
+std::vector<const SubUnit*> base_ptrs(const OverlayFirstFit& packer) {
+  std::vector<const SubUnit*> out;
+  for (const OverlayFirstFit::Slot& s : packer.slots()) out.push_back(s.unit);
   return out;
 }
 
@@ -91,13 +104,13 @@ std::vector<const SubUnit*> overlay_ptrs(const std::vector<const SubUnit*>& base
     if (!gone) out.push_back(u);
   }
   if (added != nullptr) out.push_back(added);
-  std::sort(out.begin(), out.end(),
-            [](const SubUnit* a, const SubUnit* b) { return unit_order_less(*a, *b); });
+  sort_units_by_bandwidth_desc(out);
   return out;
 }
 
 // Exact equality of final broker states — the strongest bit-identity check
-// the probe exposes (floats compared with ==, unions entry by entry).
+// the probe exposes (floats compared with ==, unions entry by entry). Both
+// sides must be settled.
 void expect_same_loads(const std::vector<BrokerLoad>& a, const std::vector<BrokerLoad>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -114,13 +127,17 @@ void expect_same_loads(const std::vector<BrokerLoad>& a, const std::vector<Broke
   }
 }
 
-// Oracle: pack the overlay from scratch and keep the final loads.
+void settle_all(std::vector<BrokerLoad>& loads, const PublisherTable& table) {
+  for (BrokerLoad& load : loads) load.settle(table);
+}
+
+// Oracle: pack the overlay from scratch into EAGER loads and keep them.
 PackProbe oracle_probe(const Workload& w, const std::vector<const SubUnit*>& overlay,
                        std::vector<BrokerLoad>* loads_out) {
   std::vector<AllocBroker> pool = w.pool;
   sort_by_capacity_desc(pool);
   std::vector<BrokerLoad> loads;
-  for (const AllocBroker& b : pool) loads.emplace_back(b, /*keep_units=*/false);
+  for (const AllocBroker& b : pool) loads.emplace_back(b, /*keep_units=*/true);
   PackProbe probe;
   for (const SubUnit* u : overlay) {
     probe.units_packed += 1;
@@ -144,20 +161,25 @@ PackProbe oracle_probe(const Workload& w, const std::vector<const SubUnit*>& ove
   return probe;
 }
 
-// One overlay, checked against the oracle for one packer.
-void check_overlay(const Workload& w, const CheckpointedFirstFit& packer,
+// One overlay, checked against the oracles for one packer.
+void check_overlay(const Workload& w, const OverlayFirstFit& packer,
                    const std::vector<UnitRange>& removed, const SubUnit* added) {
   std::vector<BrokerLoad> oracle_loads;
-  const auto overlay = overlay_ptrs(packer.units(), removed, added);
+  const auto overlay = overlay_ptrs(base_ptrs(packer), removed, added);
   const PackProbe want = oracle_probe(w, overlay, &oracle_loads);
+  std::vector<AllocBroker> pool = w.pool;
+  sort_by_capacity_desc(pool);
+  const PackProbe dry = first_fit_probe(pool, overlay, w.table);
+  EXPECT_EQ(dry.success, want.success);
+  EXPECT_EQ(dry.brokers_used, want.brokers_used);
+  EXPECT_EQ(dry.units_packed, want.units_packed);
 
-  CheckpointedFirstFit::Scratch scratch;
+  OverlayFirstFit::Scratch scratch;
   const PackProbe got = packer.probe_replacement(removed, added, w.table, scratch);
   EXPECT_EQ(got.success, want.success);
   EXPECT_EQ(got.brokers_used, want.brokers_used);
-  // Work conservation: resumed + walked covers exactly what the oracle
-  // walked, wherever the checkpoints happened to fall.
-  EXPECT_EQ(got.units_packed + got.units_skipped, want.units_packed);
+  EXPECT_EQ(got.units_packed, want.units_packed);
+  settle_all(scratch.loads, w.table);
   expect_same_loads(scratch.loads, oracle_loads);
 }
 
@@ -179,38 +201,35 @@ std::vector<UnitRange> random_removed(const Workload& w, Rng& rng) {
 
 TEST(ProbeResume, RandomizedDifferentialAgainstFromScratchFirstFit) {
   std::size_t cases = 0;
-  for (std::uint64_t seed = 0; seed < 60; ++seed) {
+  for (std::uint64_t seed = 0; seed < 250; ++seed) {
     Rng rng(seed * 7919 + 1);
     Workload w = random_workload(rng);
-    for (const std::size_t stride : kStrides) {
-      CheckpointedFirstFit packer(w.pool, stride);
-      packer.rebuild(all_ptrs(w), w.table);
-      for (int probe = 0; probe < 4; ++probe) {
-        const std::vector<UnitRange> removed = random_removed(w, rng);
-        const SubUnit* added = nullptr;
-        SubUnit merged;
-        if (!removed.empty() && rng.chance(0.7)) {
-          merged = cluster_units(*removed.front().first,
-                                 *(removed.back().last - 1), w.table);
-          added = &merged;
-        }
-        check_overlay(w, packer, removed, added);
-        ++cases;
+    OverlayFirstFit packer(w.pool);
+    packer.rebuild(all_ptrs(w), w.table);
+    for (int probe = 0; probe < 4; ++probe) {
+      const std::vector<UnitRange> removed = random_removed(w, rng);
+      const SubUnit* added = nullptr;
+      SubUnit merged;
+      if (!removed.empty() && rng.chance(0.7)) {
+        merged = cluster_units(*removed.front().first, *(removed.back().last - 1), w.table);
+        added = &merged;
       }
+      check_overlay(w, packer, removed, added);
+      ++cases;
     }
   }
   // The suite's advertised depth: at least 1,000 randomized differential
-  // comparisons (60 seeds x 5 strides x 4 overlays = 1,200).
+  // comparisons (250 seeds x 4 overlays).
   EXPECT_GE(cases, 1000u);
 }
 
 TEST(ProbeResume, RemovedRangeEdgeCases) {
   Rng rng(42);
-  for (const std::size_t stride : kStrides) {
+  for (int round = 0; round < 5; ++round) {
     Workload w = random_workload(rng);
-    CheckpointedFirstFit packer(w.pool, stride);
+    OverlayFirstFit packer(w.pool);
     packer.rebuild(all_ptrs(w), w.table);
-    const auto& sorted = packer.units();
+    const auto sorted = base_ptrs(packer);
 
     // First and last unit in PACK order (not storage order).
     const SubUnit* first_packed = sorted.front();
@@ -221,7 +240,7 @@ TEST(ProbeResume, RemovedRangeEdgeCases) {
     // The whole base removed: empty overlay, trivially feasible.
     const UnitRange everything{&w.storage.front(), &w.storage.back() + 1};
     check_overlay(w, packer, {everything}, nullptr);
-    CheckpointedFirstFit::Scratch scratch;
+    OverlayFirstFit::Scratch scratch;
     const PackProbe empty = packer.probe_replacement({everything}, nullptr, w.table, scratch);
     EXPECT_TRUE(empty.success);
     EXPECT_EQ(empty.brokers_used, 0u);
@@ -242,89 +261,129 @@ TEST(ProbeResume, RemovedRangeEdgeCases) {
   }
 }
 
+// Scratch loads are reset in place between probes; a reused scratch must
+// give the same answer and the same final states every time.
 TEST(ProbeResume, ProbeIsReusableAndConstAcrossRepeats) {
   Rng rng(7);
   Workload w = random_workload(rng);
-  CheckpointedFirstFit packer(w.pool, 3);
+  OverlayFirstFit packer(w.pool);
   packer.rebuild(all_ptrs(w), w.table);
-  const SubUnit* victim = packer.units()[packer.units().size() / 2];
-  CheckpointedFirstFit::Scratch scratch;
+  const SubUnit* victim = packer.slots()[packer.slots().size() / 2].unit;
+  OverlayFirstFit::Scratch scratch;
   const PackProbe once = packer.probe_replacement({{victim, victim + 1}}, nullptr, w.table,
                                                   scratch);
+  settle_all(scratch.loads, w.table);
+  const std::vector<BrokerLoad> first_states = scratch.loads;
   for (int i = 0; i < 3; ++i) {
+    // A different overlay in between leaves stale state to reset.
+    (void)packer.probe_replacement({}, nullptr, w.table, scratch);
     const PackProbe again = packer.probe_replacement({{victim, victim + 1}}, nullptr,
                                                      w.table, scratch);
     EXPECT_EQ(again.success, once.success);
     EXPECT_EQ(again.brokers_used, once.brokers_used);
     EXPECT_EQ(again.units_packed, once.units_packed);
-    EXPECT_EQ(again.units_skipped, once.units_skipped);
+    settle_all(scratch.loads, w.table);
+    expect_same_loads(scratch.loads, first_states);
   }
 }
 
-// Multi-round: commit random overlays, resuming each rebuild from the
-// divergence position, and keep comparing against a packer rebuilt from
-// scratch every round. Exercises checkpoint reuse across generations.
-TEST(ProbeResume, CommitWithResumeHintMatchesFreshRebuild) {
-  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+// CRAM's commit discipline on GIF-like storage: each commit splices the
+// base (removed prefixes out, merged unit in), then the unit vectors are
+// mutated the way CramRun mutates GIFs — erase, push_back, sort_units,
+// which move units in memory — and every mutated vector is repointed. The
+// spliced base must equal a from-scratch sorted rebuild pointer for
+// pointer, and the adopted result must equal the rebuild's packing.
+TEST(ProbeResume, SplicedBaseMatchesFreshSortedRebuild) {
+  std::size_t commits = 0;
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
     Rng rng(seed + 100);
-    Workload w = random_workload(rng);
-    CheckpointedFirstFit resumed(w.pool, 2);
-    CheckpointedFirstFit fresh(w.pool, kNone);
-    std::vector<const SubUnit*> live = all_ptrs(w);
-    resumed.rebuild(live, w.table);
-    fresh.rebuild(live, w.table);
-
-    for (int round = 0; round < 5 && live.size() >= 2; ++round) {
-      // Remove two units (as two singleton ranges), add their cluster.
-      const std::size_t ia = rng.index(live.size());
-      std::size_t ib = rng.index(live.size());
-      if (ib == ia) ib = (ib + 1) % live.size();
-      const SubUnit *ua = live[ia], *ub = live[ib];
-      w.storage.push_back(cluster_units(*ua, *ub, w.table));
-      const SubUnit* merged = &w.storage.back();
-      const std::vector<UnitRange> removed{{ua, ua + 1}, {ub, ub + 1}};
-
-      check_overlay(w, resumed, removed, merged);
-      const std::size_t hint = resumed.divergence_position(removed, merged);
-
-      live.erase(std::remove_if(live.begin(), live.end(),
-                                [&](const SubUnit* u) { return u == ua || u == ub; }),
-                 live.end());
-      live.push_back(merged);
-      const PackProbe& a = resumed.rebuild(live, w.table, hint);
-      const PackProbe& b = fresh.rebuild(live, w.table);
-      EXPECT_EQ(a.success, b.success);
-      EXPECT_EQ(a.brokers_used, b.brokers_used);
-      // The resumed rebuild walks only what its checkpoints cannot cover.
-      EXPECT_EQ(a.units_packed + a.units_skipped, b.units_packed);
-      // And probes on the two bases agree from here on.
-      if (!live.empty()) {
-        const SubUnit* victim = resumed.units().front();
-        CheckpointedFirstFit::Scratch sa, sb;
-        const PackProbe pa =
-            resumed.probe_replacement({{victim, victim + 1}}, nullptr, w.table, sa);
-        const PackProbe pb =
-            fresh.probe_replacement({{victim, victim + 1}}, nullptr, w.table, sb);
-        EXPECT_EQ(pa.success, pb.success);
-        EXPECT_EQ(pa.brokers_used, pb.brokers_used);
-        expect_same_loads(sa.loads, sb.loads);
+    const PublisherTable table = three_publishers();
+    std::vector<Gif> gifs(static_cast<std::size_t>(rng.uniform_int(1, 6)));
+    std::uint64_t next_id = 0;
+    for (Gif& g : gifs) {
+      const auto n = rng.uniform_int(1, 8);
+      for (std::int64_t i = 0; i < n; ++i) g.units.push_back(random_unit(next_id++, rng, table));
+      g.sort_units();
+    }
+    auto live = [&] {
+      std::vector<const SubUnit*> out;
+      for (const Gif& g : gifs) {
+        for (const SubUnit& u : g.units) out.push_back(&u);
       }
+      return out;
+    };
+    const std::vector<AllocBroker> pool = random_pool(rng);
+    OverlayFirstFit spliced(pool);
+    spliced.rebuild(live(), table);
+
+    for (int round = 0; round < 12; ++round) {
+      // Remove a random prefix (the lightest units, as CRAM's clustering
+      // rules pick them) from one to three GIFs, and fold them into one.
+      std::vector<std::size_t> touched;
+      for (std::size_t gi = 0; gi < gifs.size(); ++gi) {
+        if (!gifs[gi].units.empty() && (touched.empty() || rng.chance(0.3))) touched.push_back(gi);
+        if (touched.size() == 3) break;
+      }
+      if (touched.empty()) break;
+      std::vector<UnitRange> removed;
+      std::vector<std::size_t> take;
+      for (const std::size_t gi : touched) {
+        const auto n = static_cast<std::int64_t>(gifs[gi].units.size());
+        take.push_back(static_cast<std::size_t>(rng.uniform_int(1, n)));
+        removed.push_back({gifs[gi].units.data(), gifs[gi].units.data() + take.back()});
+      }
+      SubUnit merged;
+      bool have = false;
+      for (const UnitRange& r : removed) {
+        for (const SubUnit* u = r.first; u != r.last; ++u) {
+          merged = have ? cluster_units(merged, *u, table) : *u;
+          have = true;
+        }
+      }
+      OverlayFirstFit::Scratch scratch;
+      const PackProbe winning = spliced.probe_replacement(removed, &merged, table, scratch);
+      spliced.splice(removed, merged, winning);
+
+      for (std::size_t i = 0; i < touched.size(); ++i) {
+        auto& units = gifs[touched[i]].units;
+        units.erase(units.begin(), units.begin() + static_cast<std::ptrdiff_t>(take[i]));
+      }
+      const std::size_t home = rng.index(gifs.size());
+      gifs[home].units.push_back(std::move(merged));
+      gifs[home].sort_units();
+      for (const std::size_t gi : touched) spliced.repoint(gifs[gi].units);
+      spliced.repoint(gifs[home].units);
+      ++commits;
+
+      OverlayFirstFit fresh(pool);
+      const PackProbe& rebuilt = fresh.rebuild(live(), table);
+      ASSERT_EQ(spliced.slots().size(), fresh.slots().size());
+      for (std::size_t i = 0; i < fresh.slots().size(); ++i) {
+        EXPECT_EQ(spliced.slots()[i].unit, fresh.slots()[i].unit) << "slot " << i;
+        EXPECT_EQ(spliced.slots()[i].out_bw, fresh.slots()[i].out_bw);
+        EXPECT_EQ(spliced.slots()[i].tiebreak, fresh.slots()[i].tiebreak);
+      }
+      EXPECT_EQ(spliced.base().success, rebuilt.success);
+      if (rebuilt.success) {
+        EXPECT_EQ(spliced.base().brokers_used, rebuilt.brokers_used);
+      }
+      // Adopted work was accounted by the winning probe, not again here.
+      EXPECT_EQ(spliced.base().units_packed, 0u);
     }
   }
+  EXPECT_GE(commits, 300u);
 }
 
-// Adoption: installing a committed overlay's winning probe as the new base
-// without packing must leave the packer indistinguishable (to probes) from
-// one that re-packed the same sequence.
+// Adoption: splicing a committed overlay and adopting its winning probe
+// must leave the packer indistinguishable (to probes) from one that
+// re-sorted and re-packed the same sequence.
 TEST(ProbeResume, AdoptedBaseMatchesRebuiltBase) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     Rng rng(seed + 500);
     Workload w = random_workload(rng);
-    CheckpointedFirstFit adopted(w.pool, 2);
-    CheckpointedFirstFit rebuilt(w.pool, 2);
+    OverlayFirstFit adopted(w.pool);
     std::vector<const SubUnit*> live = all_ptrs(w);
     adopted.rebuild(live, w.table);
-    rebuilt.rebuild(live, w.table);
 
     for (int round = 0; round < 4 && live.size() >= 2; ++round) {
       const std::size_t ia = rng.index(live.size());
@@ -336,70 +395,165 @@ TEST(ProbeResume, AdoptedBaseMatchesRebuiltBase) {
       const SubUnit* merged = &w.storage.back();
       const std::vector<UnitRange> removed{{ua, ua + 1}, {ub, ub + 1}};
 
-      CheckpointedFirstFit::Scratch scratch;
-      const PackProbe winning =
-          adopted.probe_replacement(removed, merged, w.table, scratch);
+      OverlayFirstFit::Scratch scratch;
+      const PackProbe winning = adopted.probe_replacement(removed, merged, w.table, scratch);
       if (!winning.success) break;  // only successful overlays are ever adopted
-      const std::size_t hint = adopted.divergence_position(removed, merged);
+      adopted.splice(removed, *merged, winning);
 
       live.erase(std::remove_if(live.begin(), live.end(),
                                 [&](const SubUnit* u) { return u == ua || u == ub; }),
                  live.end());
       live.push_back(merged);
-      adopted.adopt(live, hint, winning);
+      OverlayFirstFit rebuilt(w.pool);
       rebuilt.rebuild(live, w.table);
       EXPECT_EQ(adopted.base().success, rebuilt.base().success);
       EXPECT_EQ(adopted.base().brokers_used, rebuilt.base().brokers_used);
-      ASSERT_EQ(adopted.units().size(), rebuilt.units().size());
-      for (std::size_t i = 0; i < adopted.units().size(); ++i) {
-        EXPECT_EQ(adopted.units()[i], rebuilt.units()[i]);
-      }
+      EXPECT_EQ(base_ptrs(adopted), base_ptrs(rebuilt));
 
       if (live.empty()) break;
-      const SubUnit* victim = adopted.units().front();
-      CheckpointedFirstFit::Scratch sa, sb;
+      const SubUnit* victim = adopted.slots().front().unit;
+      OverlayFirstFit::Scratch sa, sb;
       const PackProbe pa =
           adopted.probe_replacement({{victim, victim + 1}}, nullptr, w.table, sa);
       const PackProbe pb =
           rebuilt.probe_replacement({{victim, victim + 1}}, nullptr, w.table, sb);
       EXPECT_EQ(pa.success, pb.success);
       EXPECT_EQ(pa.brokers_used, pb.brokers_used);
-      EXPECT_EQ(pa.units_packed + pa.units_skipped, pb.units_packed + pb.units_skipped);
+      EXPECT_EQ(pa.units_packed, pb.units_packed);
+      settle_all(sa.loads, w.table);
+      settle_all(sb.loads, w.table);
       expect_same_loads(sa.loads, sb.loads);
     }
   }
 }
 
 // try_add is the fused fits+add: a rejected unit must leave the load
-// untouched bit for bit, and an accepted one must cost a single union walk
-// on the provably-fitting fast path.
+// untouched bit for bit (apart from settling its deferred accepts).
 TEST(ProbeResume, TryAddRejectionLeavesLoadUntouched) {
   const PublisherTable table = three_publishers();
   const AllocBroker tiny{BrokerId{0}, 10.0, MatchingDelayFunction{20e-6, 0.5e-6}};
-  BrokerLoad load(tiny, /*keep_units=*/false);
-  const SubUnit small = make_subscription_unit(SubId{1}, range_profile(0, 5, AdvId{0}), table);
-  ASSERT_TRUE(load.try_add(small, table));
-  const MsgRate in_before = load.in_rate();
-  const Bandwidth bw_before = load.used_bw();
-  const std::size_t filters_before = load.filter_count();
-  const SubUnit huge =
-      make_subscription_unit(SubId{2}, range_profile(0, 90, AdvId{1}), table);
-  EXPECT_FALSE(load.try_add(huge, table));
-  EXPECT_EQ(load.in_rate(), in_before);
-  EXPECT_EQ(load.used_bw(), bw_before);
-  EXPECT_EQ(load.filter_count(), filters_before);
+  for (const bool keep_units : {false, true}) {
+    BrokerLoad load(tiny, keep_units);
+    const SubUnit small =
+        make_subscription_unit(SubId{1}, range_profile(0, 5, AdvId{0}), table);
+    ASSERT_TRUE(load.try_add(small, table));
+    const MsgRate bound_before = load.in_rate_bound();
+    const Bandwidth bw_before = load.used_bw();
+    const std::size_t filters_before = load.filter_count();
+    const SubUnit huge =
+        make_subscription_unit(SubId{2}, range_profile(0, 90, AdvId{1}), table);
+    EXPECT_FALSE(load.try_add(huge, table));
+    EXPECT_EQ(load.in_rate_bound(), bound_before);
+    EXPECT_EQ(load.used_bw(), bw_before);
+    EXPECT_EQ(load.filter_count(), filters_before);
+    load.settle(table);
+    EXPECT_EQ(load.in_rate(), small.in_rate);
+  }
 }
 
-TEST(ProbeResume, FastPathAcceptCostsOneWalk) {
+// A dry-run accept the rate bound decides walks no union; settle() then
+// walks once per deferred unit. Eager loads keep the single fused walk.
+TEST(ProbeResume, LazyAcceptWalksOnlyOnSettle) {
   const PublisherTable table = three_publishers();
   const AllocBroker big{BrokerId{0}, 1000.0, MatchingDelayFunction{20e-6, 0.5e-6}};
-  BrokerLoad load(big, /*keep_units=*/false);
-  const SubUnit u = make_subscription_unit(SubId{1}, range_profile(0, 10, AdvId{0}), table);
+  std::vector<SubUnit> units;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    units.push_back(make_subscription_unit(
+        SubId{i}, range_profile(i * 10, i * 10 + 10, AdvId{0}), table));
+  }
+  BrokerLoad lazy(big, /*keep_units=*/false);
   UnionProfile::reset_probe_walks();
-  ASSERT_TRUE(load.try_add(u, table));
-  // An empty 1000 kB/s broker trivially satisfies the rate bound, so the
-  // decision is walk-free and the fused merge_with_rate is the only walk.
+  for (const SubUnit& u : units) ASSERT_TRUE(lazy.try_add(u, table));
+  // An empty 1000 kB/s broker trivially satisfies the rate bound.
+  EXPECT_EQ(UnionProfile::probe_walks(), 0u);
+  EXPECT_FALSE(lazy.settled());
+  lazy.settle(table);
+  EXPECT_EQ(UnionProfile::probe_walks(), units.size());
+  EXPECT_TRUE(lazy.settled());
+  lazy.settle(table);  // nothing pending: no walk
+  EXPECT_EQ(UnionProfile::probe_walks(), units.size());
+
+  BrokerLoad eager(big, /*keep_units=*/true);
+  UnionProfile::reset_probe_walks();
+  ASSERT_TRUE(eager.try_add(units[0], table));
   EXPECT_EQ(UnionProfile::probe_walks(), 1u);
+}
+
+// The lazy dry-run load against an eager one on randomized unit sequences.
+// Thresholds are drawn so the matching-rate test binds: heavily overlapping
+// units push the summed bound past the threshold while the exact union rate
+// (at most 185 msg/s over three publishers) stays below it, so bound-decided
+// accepts, settles followed by accepts and rejects right after long pending
+// runs all occur. Both loads must decide identically at every step, the
+// bound must cover the exact rate throughout, and settling must reproduce
+// the eager rate and union bits exactly.
+TEST(ProbeResume, LazyLoadMatchesEagerLoadStepByStep) {
+  const PublisherTable table = three_publishers();
+  std::size_t bound_accepts = 0;
+  std::size_t settled_accepts = 0;
+  std::size_t rejects_after_long_run = 0;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    Rng rng(seed * 31 + 3);
+    const double t1 = rng.uniform_real(30.0, 400.0);    // threshold at 1 filter
+    const double half = rng.uniform_real(8.0, 80.0);    // filters to halve it
+    const double bw = rng.chance(0.2) ? rng.uniform_real(200.0, 2000.0) : 1e12;
+    const AllocBroker b{BrokerId{0}, bw, MatchingDelayFunction{1.0 / t1, 1.0 / (t1 * half)}};
+    std::vector<SubUnit> units;
+    const auto n = static_cast<std::size_t>(rng.uniform_int(20, 120));
+    units.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) units.push_back(random_unit(i, rng, table));
+
+    BrokerLoad lazy(b, /*keep_units=*/false);
+    BrokerLoad eager(b, /*keep_units=*/true);
+    std::size_t run = 0;  // bound-decided accepts since the load was settled
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t walks_before = UnionProfile::probe_walks();
+      const bool was_settled = lazy.settled();
+      const bool got = lazy.try_add(units[i], table);
+      const bool walked = UnionProfile::probe_walks() != walks_before;
+      const bool want = eager.try_add(units[i], table);
+      ASSERT_EQ(got, want) << "seed " << seed << " step " << i;
+      EXPECT_GE(lazy.in_rate_bound(), eager.in_rate()) << "seed " << seed << " step " << i;
+      EXPECT_EQ(lazy.used_bw(), eager.used_bw());
+      EXPECT_EQ(lazy.filter_count(), eager.filter_count());
+      if (got && !walked) {
+        ++bound_accepts;
+        ++run;
+      } else if (got) {
+        ++settled_accepts;
+        run = 0;
+      } else {
+        if (!was_settled && lazy.settled() && run >= 5) ++rejects_after_long_run;
+        if (lazy.settled()) run = 0;
+        if (rng.chance(0.5)) {
+          // Start over on an empty broker: clear() must reuse the load.
+          lazy.clear();
+          eager.clear();
+          run = 0;
+        }
+      }
+      if (rng.chance(0.1)) {
+        lazy.settle(table);
+        run = 0;
+        ASSERT_EQ(lazy.in_rate(), eager.in_rate()) << "seed " << seed << " step " << i;
+        EXPECT_EQ(lazy.in_rate_bound(), lazy.in_rate());  // the bound is reset tight
+      }
+    }
+    lazy.settle(table);
+    EXPECT_EQ(lazy.in_rate(), eager.in_rate()) << "seed " << seed;
+    EXPECT_EQ(lazy.in_rate_bound(), lazy.in_rate());
+    const auto& el = lazy.union_view().entries();
+    const auto& ee = eager.union_view().entries();
+    ASSERT_EQ(el.size(), ee.size());
+    for (std::size_t j = 0; j < el.size(); ++j) {
+      EXPECT_EQ(el[j].adv, ee[j].adv);
+      EXPECT_TRUE(el[j].bits == ee[j].bits);
+    }
+  }
+  // The randomized regime must actually exercise every path.
+  EXPECT_GT(bound_accepts, 1000u);
+  EXPECT_GT(settled_accepts, 100u);
+  EXPECT_GT(rejects_after_long_run, 20u);
 }
 
 }  // namespace
