@@ -17,16 +17,6 @@ bool SubscriptionRoutingTable::adv_pruning_enabled() {
   return g_adv_pruning_enabled.load(std::memory_order_relaxed);
 }
 
-std::vector<SubscriptionRoutingTable::EqPred> SubscriptionRoutingTable::eq_preds(
-    const Filter& f) {
-  std::vector<EqPred> out;
-  for (const Predicate& p : f.predicates()) {
-    if (p.op != Op::kEq) continue;
-    out.push_back(EqPred{Interner::global().intern(p.attribute), value_key(p.value)});
-  }
-  return out;
-}
-
 // Conservative disjointness: if both filters carry an equality predicate on
 // the same attribute with different value keys, no publication value can
 // equal both, so the filters share no matching publication. (Equal keys of
@@ -34,84 +24,138 @@ std::vector<SubscriptionRoutingTable::EqPred> SubscriptionRoutingTable::eq_preds
 // conservative.) This is far cheaper than a full intersects() — no filter
 // normalization/copies — at the cost of a slightly wider candidate set for
 // range-disjoint filters, which the per-candidate match re-check absorbs.
-bool SubscriptionRoutingTable::eq_disjoint(const std::vector<EqPred>& a,
-                                           const std::vector<EqPred>& b) {
-  for (const EqPred& pa : a) {
-    for (const EqPred& pb : b) {
+bool SubscriptionRoutingTable::eq_disjoint(EqKeys a, EqKeys b) {
+  for (const EqKey& pa : a) {
+    for (const EqKey& pb : b) {
       if (pa.attr == pb.attr && !(pa.key == pb.key)) return true;
     }
   }
   return false;
 }
 
-void SubscriptionRoutingTable::insert(SubId sub, const Filter& filter, Hop next_hop) {
-  if (hops_.contains(sub)) remove(sub);
-  engine_.insert(sub.value(), filter);
-  hops_.insert_or_assign(sub, next_hop);
-  dirty_.store(true, std::memory_order_relaxed);
+// A scope pinning attribute `a` by equality can agree with the filter only
+// if it pins `a` to one of the filter's keys for `a`. So when every scope
+// pins some attribute the filter pins, the (attr, key) bucket holds every
+// compatible scope; otherwise fall back to visiting all scopes. Either way
+// eq_disjoint makes the final call, so the visited set never changes which
+// scopes qualify.
+template <typename Fn>
+void SubscriptionRoutingTable::for_each_compatible_scope(EqKeys eqs, Fn&& fn) {
   if (advs_.empty()) return;
-  const CompiledFilter* cf = engine_.compiled(sub.value());
-  const std::vector<EqPred> sub_eqs = eq_preds(filter);
+  const std::vector<AdvScope*>* narrowest = nullptr;
+  for (const EqKey& e : eqs) {
+    const auto count = scopes_per_attr_.find(e.attr);
+    if (count == scopes_per_attr_.end() || count->second != advs_.size()) continue;
+    const auto bucket = scopes_by_eq_.find(e);
+    if (bucket == scopes_by_eq_.end()) return;  // every scope pins another key
+    if (narrowest == nullptr || bucket->second.size() < narrowest->size()) {
+      narrowest = &bucket->second;
+    }
+  }
+  if (narrowest != nullptr) {
+    for (AdvScope* scope : *narrowest) {
+      if (!eq_disjoint(scope->compiled.eq_keys(), eqs)) fn(*scope);
+    }
+    return;
+  }
   for (auto& [adv, scope] : advs_) {
     (void)adv;
-    if (eq_disjoint(scope.eqs, sub_eqs)) continue;
+    if (!eq_disjoint(scope.compiled.eq_keys(), eqs)) fn(scope);
+  }
+}
+
+void SubscriptionRoutingTable::index_scope(AdvScope& scope) {
+  const EqKeys eqs = scope.compiled.eq_keys();
+  for (std::size_t i = 0; i < eqs.size(); ++i) {
+    const auto seen = eqs.begin() + static_cast<std::ptrdiff_t>(i);
+    if (std::find(eqs.begin(), seen, eqs[i]) == seen) scopes_by_eq_[eqs[i]].push_back(&scope);
+    if (std::none_of(eqs.begin(), seen, [&](const EqKey& e) { return e.attr == eqs[i].attr; })) {
+      ++scopes_per_attr_[eqs[i].attr];
+    }
+  }
+}
+
+void SubscriptionRoutingTable::unindex_scope(AdvScope& scope) {
+  const EqKeys eqs = scope.compiled.eq_keys();
+  for (std::size_t i = 0; i < eqs.size(); ++i) {
+    const auto seen = eqs.begin() + static_cast<std::ptrdiff_t>(i);
+    if (std::find(eqs.begin(), seen, eqs[i]) == seen) {
+      const auto bucket = scopes_by_eq_.find(eqs[i]);
+      std::erase(bucket->second, &scope);
+      if (bucket->second.empty()) scopes_by_eq_.erase(bucket);
+    }
+    if (std::none_of(eqs.begin(), seen, [&](const EqKey& e) { return e.attr == eqs[i].attr; })) {
+      const auto count = scopes_per_attr_.find(eqs[i].attr);
+      if (--count->second == 0) scopes_per_attr_.erase(count);
+    }
+  }
+}
+
+void SubscriptionRoutingTable::insert(SubId sub, CompiledFilter filter, Hop next_hop) {
+  if (hops_.contains(sub)) remove(sub);
+  const CompiledFilter* cf = &engine_.insert(sub.value(), std::move(filter));
+  hops_.insert_or_assign(sub, next_hop);
+  dirty_.store(true, std::memory_order_relaxed);
+  for_each_compatible_scope(cf->eq_keys(), [&](AdvScope& scope) {
     const auto pos = std::lower_bound(
         scope.candidates.begin(), scope.candidates.end(), sub.value(),
         [](const Cand& c, MatchingEngine::Handle h) { return c.handle < h; });
     scope.candidates.insert(pos, Cand{sub.value(), cf, next_hop});
-  }
+  });
 }
 
 void SubscriptionRoutingTable::remove(SubId sub) {
   if (!hops_.contains(sub)) return;
-  engine_.remove(sub.value());
-  hops_.erase(sub);
-  dirty_.store(true, std::memory_order_relaxed);
-  for (auto& [adv, scope] : advs_) {
-    (void)adv;
+  // A subscription sits in exactly the scopes it is compatible with, so the
+  // same visit finds every candidate entry. The engine entry (and with it
+  // the equality keys) must outlive the visit.
+  for_each_compatible_scope(engine_.compiled(sub.value())->eq_keys(), [&](AdvScope& scope) {
     const auto pos = std::lower_bound(
         scope.candidates.begin(), scope.candidates.end(), sub.value(),
         [](const Cand& c, MatchingEngine::Handle h) { return c.handle < h; });
     if (pos != scope.candidates.end() && pos->handle == sub.value()) {
       scope.candidates.erase(pos);
     }
-  }
+  });
+  engine_.remove(sub.value());
+  hops_.erase(sub);
+  dirty_.store(true, std::memory_order_relaxed);
 }
 
-void SubscriptionRoutingTable::register_advertisement(AdvId id, const Filter& filter) {
-  AdvScope scope;
-  scope.compiled = CompiledFilter(filter);
-  scope.eqs = eq_preds(filter);
-  engine_.for_each([&](MatchingEngine::Handle h, const Filter& f) {
-    if (eq_disjoint(scope.eqs, eq_preds(f))) return;
+void SubscriptionRoutingTable::register_advertisement(AdvId id, CompiledFilter filter) {
+  const auto [it, inserted] = advs_.try_emplace(id);
+  AdvScope& scope = it->second;
+  if (!inserted) unindex_scope(scope);
+  scope.compiled = std::move(filter);
+  scope.candidates.clear();
+  const EqKeys eqs = scope.compiled.eq_keys();
+  engine_.for_each([&](MatchingEngine::Handle h, const CompiledFilter& f) {
+    if (eq_disjoint(eqs, f.eq_keys())) return;
     const auto hit = hops_.find(SubId{h});
     if (hit == hops_.end()) return;
-    scope.candidates.push_back(Cand{h, engine_.compiled(h), hit->second});
+    scope.candidates.push_back(Cand{h, &f, hit->second});
   });
   std::sort(scope.candidates.begin(), scope.candidates.end(),
             [](const Cand& a, const Cand& b) { return a.handle < b.handle; });
-  advs_.insert_or_assign(id, std::move(scope));
+  index_scope(scope);
   dirty_.store(true, std::memory_order_relaxed);
 }
 
 SubscriptionRoutingTable::Snapshot* SubscriptionRoutingTable::build_snapshot() const {
   auto* s = new Snapshot();
   s->engine = engine_.build_snapshot();
-  // Dense-index lookup for the hop array and the advertisement candidate
-  // remap. Every engine handle has a hop (insert/remove keep them in sync).
-  std::unordered_map<MatchingEngine::Handle, std::uint32_t> dense;
-  dense.reserve(s->engine.subs.size());
+  // A hop per dense sub. Every engine handle has a hop (insert/remove keep
+  // them in sync).
   s->hops.reserve(s->engine.subs.size());
-  for (const auto& sub : s->engine.subs) {
-    dense.emplace(sub.handle, static_cast<std::uint32_t>(s->hops.size()));
-    s->hops.push_back(hops_.at(SubId{sub.handle}));
-  }
+  for (const auto& sub : s->engine.subs) s->hops.push_back(hops_.at(SubId{sub.handle}));
   s->advs.reserve(advs_.size());
   for (const auto& [id, scope] : advs_) {
     Snapshot::SnapScope snap_scope;
     snap_scope.compiled = scope.compiled;
     snap_scope.candidates.reserve(scope.candidates.size());
-    for (const Cand& c : scope.candidates) snap_scope.candidates.push_back(dense.at(c.handle));
+    for (const Cand& c : scope.candidates) {
+      snap_scope.candidates.push_back(s->engine.dense_index(c.handle));
+    }
     s->advs.emplace(id, std::move(snap_scope));
   }
   return s;

@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -68,7 +69,12 @@ class SubscriptionRoutingTable {
   SubscriptionRoutingTable() = default;
 
   // Install or replace the routing entry for `sub`.
-  void insert(SubId sub, const Filter& filter, Hop next_hop);
+  void insert(SubId sub, const Filter& filter, Hop next_hop) {
+    insert(sub, CompiledFilter(filter), next_hop);
+  }
+  // Same, sharing an already compiled record: the simulator compiles each
+  // subscription once and installs that record on every broker of its path.
+  void insert(SubId sub, CompiledFilter filter, Hop next_hop);
   void remove(SubId sub);
 
   // Announce an advertisement known at this broker. A conforming publication
@@ -80,7 +86,16 @@ class SubscriptionRoutingTable {
   // path runs without any per-candidate hash lookup. Non-conforming
   // publications fall back to the full engine match, so registration never
   // changes the match set.
-  void register_advertisement(AdvId id, const Filter& filter);
+  //
+  // Scopes are indexed by (attribute, equality key), with a count of scopes
+  // per attribute, so insert() and remove() visit only the scopes a
+  // subscription's equality predicates can agree with; each visited scope
+  // still runs the eq_disjoint test, so the candidate sets are exactly those
+  // of a scan over every scope.
+  void register_advertisement(AdvId id, const Filter& filter) {
+    register_advertisement(id, CompiledFilter(filter));
+  }
+  void register_advertisement(AdvId id, CompiledFilter filter);
 
   // Build an immutable snapshot of the current table and publish it with a
   // single atomic pointer swap. Owner-thread only; cheap when nothing
@@ -131,14 +146,8 @@ class SubscriptionRoutingTable {
   [[nodiscard]] static bool adv_pruning_enabled();
 
  private:
-  // One equality predicate of a filter in interned form, for the
-  // candidate-set disjointness test: two filters with equality predicates on
-  // the same attribute but different values can never match the same
-  // publication.
-  struct EqPred {
-    InternId attr = kNoIntern;
-    ValueKey key;
-  };
+  using EqKey = CompiledFilter::EqKey;
+  using EqKeys = std::span<const EqKey>;
 
   struct Cand {
     MatchingEngine::Handle handle;
@@ -147,8 +156,7 @@ class SubscriptionRoutingTable {
   };
 
   struct AdvScope {
-    CompiledFilter compiled;   // conformance check for incoming publications
-    std::vector<EqPred> eqs;   // the advertisement's equality predicates
+    CompiledFilter compiled;       // conformance check for incoming publications
     std::vector<Cand> candidates;  // sorted by handle
   };
 
@@ -167,9 +175,14 @@ class SubscriptionRoutingTable {
     std::uint64_t version = 0;
   };
 
-  [[nodiscard]] static std::vector<EqPred> eq_preds(const Filter& f);
-  [[nodiscard]] static bool eq_disjoint(const std::vector<EqPred>& a,
-                                        const std::vector<EqPred>& b);
+  // Conservative disjointness for candidate sets: both filters carry an
+  // equality predicate on one attribute with different keys.
+  [[nodiscard]] static bool eq_disjoint(EqKeys a, EqKeys b);
+  // Calls fn(scope) for every scope not eq-disjoint from `eqs`.
+  template <typename Fn>
+  void for_each_compatible_scope(EqKeys eqs, Fn&& fn);
+  void index_scope(AdvScope& scope);
+  void unindex_scope(AdvScope& scope);
 
   [[nodiscard]] Snapshot* build_snapshot() const;
   void match_snapshot(const Snapshot& snap, const Publication& pub,
@@ -182,6 +195,11 @@ class SubscriptionRoutingTable {
   MatchingEngine engine_;
   std::unordered_map<SubId, Hop> hops_;
   std::unordered_map<AdvId, AdvScope> advs_;
+  // Scope index: every scope with an equality predicate (attr, key), once
+  // per distinct pair, and the number of scopes constraining each attribute
+  // by equality. Scope pointers are stable (unordered_map nodes).
+  std::unordered_map<EqKey, std::vector<AdvScope*>, CompiledFilter::EqKeyHash> scopes_by_eq_;
+  std::unordered_map<InternId, std::size_t> scopes_per_attr_;
   EpochPtr<Snapshot> snap_;
   std::uint64_t next_version_ = 1;
   // Set by mutators, cleared by publish(): the owner-thread match path uses

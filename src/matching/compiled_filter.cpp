@@ -6,7 +6,9 @@
 namespace greenps {
 
 CompiledFilter::CompiledFilter(const Filter& f) {
-  preds_.reserve(f.predicates().size());
+  auto rep = std::make_shared<Rep>();
+  rep->source = f;
+  rep->preds.reserve(f.predicates().size());
   for (const Predicate& p : f.predicates()) {
     Pred cp;
     cp.attr = Interner::global().intern(p.attribute);
@@ -14,13 +16,14 @@ CompiledFilter::CompiledFilter(const Filter& f) {
       case Op::kEq:
         // NaN is the one value where bit equality and Value::equals disagree
         // (a NaN never equals itself); keep it on the slow path.
+        cp.key = value_key(p.value);
         if (p.value.is_numeric() && std::isnan(p.value.as_double())) {
           cp.kind = Kind::kSlow;
           cp.slow = p;
         } else {
           cp.kind = Kind::kEqKey;
-          cp.key = value_key(p.value);
         }
+        rep->eqs.push_back(EqKey{cp.attr, cp.key});
         break;
       case Op::kLt:
       case Op::kLe:
@@ -49,14 +52,27 @@ CompiledFilter::CompiledFilter(const Filter& f) {
         cp.slow = p;
         break;
     }
-    preds_.push_back(std::move(cp));
+    rep->preds.push_back(std::move(cp));
   }
+  preds_ = rep->preds.data();
+  size_ = rep->preds.size();
+  rep_ = std::move(rep);
+}
+
+const Filter& CompiledFilter::source() const {
+  static const Filter kEmpty;
+  return rep_ != nullptr ? rep_->source : kEmpty;
+}
+
+std::span<const CompiledFilter::EqKey> CompiledFilter::eq_keys() const {
+  if (rep_ == nullptr) return {};
+  return rep_->eqs;
 }
 
 bool CompiledFilter::matches(const Publication& pub) const {
   const auto& keys = pub.attr_keys();
   const std::size_t n = keys.size();
-  for (const Pred& p : preds_) {
+  for (const Pred& p : preds()) {
     // Publications carry ~a dozen attributes; a linear scan over the
     // precomputed 32-bit ids beats binary search on the name strings.
     std::size_t j = 0;

@@ -9,11 +9,20 @@
 // rare predicates with no fast form (string prefix/suffix/contains,
 // negation) keep a copy of the original predicate and take the slow path.
 //
+// A CompiledFilter is an immutable, shared record: the source filter, the
+// predicate array and the equality keys live in one reference-counted block,
+// so copies (one per routing table and published snapshot that holds the
+// filter) cost a refcount, not an allocation. The predicate array pointer is
+// stored inline, so matches() reaches the predicates through exactly one
+// indirection.
+//
 // matches() returns exactly what Filter::matches returns for every
 // publication (the differential test pits one against the other).
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "language/interner.hpp"
@@ -24,13 +33,6 @@ namespace greenps {
 
 class CompiledFilter {
  public:
-  CompiledFilter() = default;
-  explicit CompiledFilter(const Filter& f);
-
-  [[nodiscard]] bool matches(const Publication& pub) const;
-  [[nodiscard]] std::size_t size() const { return preds_.size(); }
-
- private:
   enum class Kind : std::uint8_t {
     kEqKey,    // ValueKey equality (exact except NaN, which compiles to kSlow)
     kLt,       // numeric comparisons against `num`
@@ -49,7 +51,43 @@ class CompiledFilter {
     Predicate slow;    // kSlow
   };
 
-  std::vector<Pred> preds_;
+  // One equality predicate in interned form. Two filters pinning the same
+  // attribute to different keys can never match the same publication.
+  struct EqKey {
+    InternId attr = kNoIntern;
+    ValueKey key;
+
+    friend bool operator==(const EqKey&, const EqKey&) = default;
+  };
+  struct EqKeyHash {
+    std::size_t operator()(const EqKey& k) const noexcept {
+      return ValueKeyHash{}(k.key) ^ (static_cast<std::size_t>(k.attr) * 0x9e3779b97f4a7c15ULL);
+    }
+  };
+
+  CompiledFilter() = default;
+  explicit CompiledFilter(const Filter& f);
+
+  [[nodiscard]] bool matches(const Publication& pub) const;
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] std::span<const Pred> preds() const { return {preds_, size_}; }
+
+  // The filter this record was compiled from (empty when default-built).
+  [[nodiscard]] const Filter& source() const;
+  // Every Op::kEq predicate in predicate order, NaN values included under
+  // their raw key.
+  [[nodiscard]] std::span<const EqKey> eq_keys() const;
+
+ private:
+  struct Rep {
+    Filter source;
+    std::vector<Pred> preds;
+    std::vector<EqKey> eqs;
+  };
+
+  std::shared_ptr<const Rep> rep_;
+  const Pred* preds_ = nullptr;  // rep_->preds.data(), kept alive by rep_
+  std::size_t size_ = 0;
 };
 
 }  // namespace greenps

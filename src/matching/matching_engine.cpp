@@ -35,13 +35,13 @@ bool MatchingEngine::index_enabled() {
   return g_index_enabled.load(std::memory_order_relaxed);
 }
 
-const Predicate* MatchingEngine::pick_eq_predicate(const Filter& f) const {
-  const Predicate* best = nullptr;
+const CompiledFilter::EqKey* MatchingEngine::pick_eq_predicate(
+    const CompiledFilter& f) const {
+  const CompiledFilter::EqKey* best = nullptr;
   std::size_t best_distinct = 0;
-  for (const auto& p : f.predicates()) {
-    if (p.op != Op::kEq) continue;
+  for (const CompiledFilter::EqKey& p : f.eq_keys()) {
     std::size_t distinct = 0;
-    const auto it = attr_indexes_.find(Interner::global().find(p.attribute));
+    const auto it = attr_indexes_.find(p.attr);
     if (it != attr_indexes_.end()) distinct = it->second.eq.size();
     // `>=` so later predicates win ties: subscription filters typically put
     // the broad class predicate first and the selective one after it.
@@ -53,37 +53,37 @@ const Predicate* MatchingEngine::pick_eq_predicate(const Filter& f) const {
   return best;
 }
 
-void MatchingEngine::insert(Handle handle, Filter filter) {
+const CompiledFilter& MatchingEngine::insert(Handle handle, CompiledFilter filter) {
   remove(handle);  // replacing an entry must first drop its index refs
-  Entry e{std::move(filter), {}, Slot::kScan, kNoIntern, {}};
-  e.compiled = CompiledFilter(e.filter);
-  if (const Predicate* p = pick_eq_predicate(e.filter)) {
+  Entry e{std::move(filter), Slot::kScan, kNoIntern, {}};
+  if (const CompiledFilter::EqKey* p = pick_eq_predicate(e.compiled)) {
     e.slot = Slot::kEq;
-    e.index_attr = Interner::global().intern(p->attribute);
-    e.eq_key = value_key(p->value);
+    e.index_attr = p->attr;
+    e.eq_key = p->key;
     const auto it = entries_.insert_or_assign(handle, std::move(e)).first;
     const Entry& stored = it->second;
     attr_indexes_[stored.index_attr].eq[stored.eq_key].push_back(Ref{handle, &stored});
-    return;
+    return stored.compiled;
   }
 
   // No equality predicate: look for a numeric interval to index under,
   // preferring the most constrained attribute (both bounds > one bound).
+  using Kind = CompiledFilter::Kind;
   std::unordered_map<InternId, Bounds> bounds;
   std::vector<InternId> order;  // deterministic preference order
-  for (const auto& p : e.filter.predicates()) {
-    if (!p.value.is_numeric()) continue;
-    if (p.op != Op::kLt && p.op != Op::kLe && p.op != Op::kGt && p.op != Op::kGe) continue;
-    const InternId attr = Interner::global().intern(p.attribute);
-    auto [it, inserted] = bounds.try_emplace(attr);
-    if (inserted) order.push_back(attr);
+  for (const CompiledFilter::Pred& p : e.compiled.preds()) {
+    if (p.kind != Kind::kLt && p.kind != Kind::kLe && p.kind != Kind::kGt &&
+        p.kind != Kind::kGe) {
+      continue;
+    }
+    auto [it, inserted] = bounds.try_emplace(p.attr);
+    if (inserted) order.push_back(p.attr);
     Bounds& b = it->second;
-    const double v = p.value.as_double();
-    if (p.op == Op::kLt || p.op == Op::kLe) {
-      b.hi = b.bounded_above ? std::min(b.hi, v) : v;
+    if (p.kind == Kind::kLt || p.kind == Kind::kLe) {
+      b.hi = b.bounded_above ? std::min(b.hi, p.num) : p.num;
       b.bounded_above = true;
     } else {
-      b.lo = b.bounded_below ? std::max(b.lo, v) : v;
+      b.lo = b.bounded_below ? std::max(b.lo, p.num) : p.num;
       b.bounded_below = true;
     }
   }
@@ -105,10 +105,11 @@ void MatchingEngine::insert(Handle handle, Filter filter) {
     auto& intervals = attr_indexes_[it->second.index_attr].intervals;
     const Interval iv{b.lo, b.hi, handle, &it->second};
     intervals.insert(std::upper_bound(intervals.begin(), intervals.end(), iv), iv);
-  } else {
-    const auto it = entries_.insert_or_assign(handle, std::move(e)).first;
-    scan_list_.push_back(Ref{handle, &it->second});
+    return it->second.compiled;
   }
+  const auto it = entries_.insert_or_assign(handle, std::move(e)).first;
+  scan_list_.push_back(Ref{handle, &it->second});
+  return it->second.compiled;
 }
 
 void MatchingEngine::remove(Handle handle) {
@@ -151,7 +152,7 @@ void MatchingEngine::remove(Handle handle) {
 
 const Filter* MatchingEngine::find(Handle handle) const {
   const auto it = entries_.find(handle);
-  return it == entries_.end() ? nullptr : &it->second.filter;
+  return it == entries_.end() ? nullptr : &it->second.compiled.source();
 }
 
 const CompiledFilter* MatchingEngine::compiled(Handle handle) const {
@@ -221,20 +222,14 @@ std::vector<MatchingEngine::Handle> MatchingEngine::match(const Publication& pub
 
 MatchingEngine::Snapshot MatchingEngine::build_snapshot() const {
   Snapshot s;
-  std::vector<Handle> order;
+  std::vector<std::pair<Handle, const Entry*>> order;
   order.reserve(entries_.size());
-  for (const auto& [h, e] : entries_) {
-    (void)e;
-    order.push_back(h);
-  }
-  std::sort(order.begin(), order.end());
-  std::unordered_map<Handle, std::uint32_t> dense;
-  dense.reserve(order.size());
+  for (const auto& [h, e] : entries_) order.emplace_back(h, &e);
+  std::sort(order.begin(), order.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   s.subs.reserve(order.size());
-  for (const Handle h : order) {
-    dense.emplace(h, static_cast<std::uint32_t>(s.subs.size()));
-    s.subs.push_back(Snapshot::Sub{h, entries_.at(h).compiled});
-  }
+  for (const auto& [h, e] : order) s.subs.push_back(Snapshot::Sub{h, e->compiled});
+  const auto dense = [&s](Handle h) { return s.dense_index(h); };
   // Copy the live index contents (rather than re-derive them from the
   // filters): bucket membership and interval bounds were chosen by
   // insertion-time heuristics, and preserving the exact per-bucket order
@@ -247,16 +242,22 @@ MatchingEngine::Snapshot MatchingEngine::build_snapshot() const {
     for (const auto& [key, refs] : ai.eq) {
       std::vector<std::uint32_t>& bucket = out.eq[key];
       bucket.reserve(refs.size());
-      for (const Ref& r : refs) bucket.push_back(dense.at(r.handle));
+      for (const Ref& r : refs) bucket.push_back(dense(r.handle));
     }
     out.intervals.reserve(ai.intervals.size());
     for (const Interval& iv : ai.intervals) {
-      out.intervals.push_back(Snapshot::Interval{iv.lo, iv.hi, dense.at(iv.handle)});
+      out.intervals.push_back(Snapshot::Interval{iv.lo, iv.hi, dense(iv.handle)});
     }
   }
   s.scan_list.reserve(scan_list_.size());
-  for (const Ref& r : scan_list_) s.scan_list.push_back(dense.at(r.handle));
+  for (const Ref& r : scan_list_) s.scan_list.push_back(dense(r.handle));
   return s;
+}
+
+std::uint32_t MatchingEngine::Snapshot::dense_index(Handle handle) const {
+  const auto it = std::lower_bound(subs.begin(), subs.end(), handle,
+                                   [](const Sub& sub, Handle h) { return sub.handle < h; });
+  return static_cast<std::uint32_t>(it - subs.begin());
 }
 
 void MatchingEngine::Snapshot::match_into(const Publication& pub, MatchScratch& scratch,

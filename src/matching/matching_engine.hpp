@@ -107,7 +107,11 @@ class MatchingEngine {
   using Handle = std::uint64_t;
 
   // Insert a filter; `handle` must be unique among live entries.
-  void insert(Handle handle, Filter filter);
+  void insert(Handle handle, const Filter& filter) { (void)insert(handle, CompiledFilter(filter)); }
+  // Insert an already compiled filter and return the stored copy (valid
+  // until the handle is removed). The entry shares the record, so one
+  // compiled subscription can back the engines of many brokers.
+  const CompiledFilter& insert(Handle handle, CompiledFilter filter);
   // Remove a previously inserted filter. Unknown handles are ignored.
   void remove(Handle handle);
 
@@ -127,10 +131,10 @@ class MatchingEngine {
   // to evaluate candidates without re-resolving attribute names.
   [[nodiscard]] const CompiledFilter* compiled(Handle handle) const;
 
-  // Visit every live (handle, filter) pair.
+  // Visit every live (handle, compiled filter) pair.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const auto& [h, e] : entries_) fn(h, e.filter);
+    for (const auto& [h, e] : entries_) fn(h, e.compiled);
   }
 
   // Immutable, self-contained copy of the typed indexes with candidates as
@@ -156,6 +160,9 @@ class MatchingEngine {
     std::vector<Sub> subs;  // ascending handle
     std::unordered_map<InternId, AttrIdx> attr_indexes;
     std::vector<std::uint32_t> scan_list;
+
+    // Dense index of a live handle (binary search over `subs`).
+    [[nodiscard]] std::uint32_t dense_index(Handle handle) const;
 
     // Appends the dense indices of all matching subs to `out` (not
     // cleared). Passing an evaluator fans large candidate batches across
@@ -191,8 +198,7 @@ class MatchingEngine {
   enum class Slot : std::uint8_t { kScan, kEq, kInterval };
 
   struct Entry {
-    Filter filter;
-    CompiledFilter compiled;
+    CompiledFilter compiled;  // shared record; compiled.source() is the filter
     Slot slot = Slot::kScan;
     InternId index_attr = kNoIntern;
     ValueKey eq_key;  // valid when slot == kEq
@@ -225,7 +231,7 @@ class MatchingEngine {
 
   // Selectivity heuristic: prefer bucketing under the equality attribute
   // with the most distinct values observed so far.
-  [[nodiscard]] const Predicate* pick_eq_predicate(const Filter& f) const;
+  [[nodiscard]] const CompiledFilter::EqKey* pick_eq_predicate(const CompiledFilter& f) const;
   void match_indexed(const Publication& pub, std::vector<Handle>& out) const;
 
   std::unordered_map<Handle, Entry> entries_;

@@ -1,6 +1,7 @@
 #include "matching/relations.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -301,6 +302,19 @@ bool intersects(const Filter& a, const Filter& b) {
   for (const auto& [attr, cb] : nb) {
     (void)attr;
     if (cb.contradictory) return false;
+  }
+  return true;
+}
+
+bool may_intersect(const CompiledFilter& a, const CompiledFilter& b) {
+  const auto is_nan = [](const ValueKey& k) {
+    return k.tag == ValueKey::Tag::kNumber && std::isnan(std::bit_cast<double>(k.bits));
+  };
+  for (const CompiledFilter::EqKey& pa : a.eq_keys()) {
+    if (is_nan(pa.key)) continue;
+    for (const CompiledFilter::EqKey& pb : b.eq_keys()) {
+      if (pa.attr == pb.attr && !(pa.key == pb.key) && !is_nan(pb.key)) return false;
+    }
   }
   return true;
 }

@@ -74,6 +74,17 @@ Simulation::Simulation(Deployment deployment, StockQuoteGenerator quotes, Networ
   redeploy(std::move(deployment));
 }
 
+Simulation::~Simulation() {
+  // Destroying a routing table retires its last published snapshot to the
+  // global epoch domain, which frees retired snapshots only on its next
+  // reclaim, normally the next publish anywhere in the process. Reclaim now,
+  // so a destroyed simulation's snapshots (and the compiled filters they
+  // share) do not stay allocated, scattered through the heap, under whatever
+  // the process does next.
+  brokers_.clear();
+  EpochDomain::global().try_reclaim();
+}
+
 Broker& Simulation::broker(BrokerId id) {
   const auto it = brokers_.find(id);
   assert(it != brokers_.end());
@@ -208,49 +219,101 @@ void Simulation::redeploy(Deployment deployment) {
 }
 
 void Simulation::install_routing() {
+  // Routing state is installed along the overlay's unique tree paths: each
+  // subscription is compiled once and its shared record is walked from its
+  // home broker toward every intersecting advertisement's home, using the
+  // flood's BFS trees instead of a fresh path search per pair.
+  assert(deployment_.topology.is_tree());
+  const std::uint64_t install_ts = obs::trace_enabled() ? obs::trace_now_us() : 0;
+  std::vector<BrokerSlot*> by_ord(brokers_.size());
+  for (auto& [id, slot] : brokers_) {
+    (void)id;
+    by_ord[slot.ord] = &slot;
+  }
+  const std::size_t num_pubs = deployment_.publishers.size();
+  constexpr auto kUnseen = ~std::uint32_t{0};
+
   // Advertisement flooding: every broker learns each advertisement and the
-  // direction (last hop) toward its publisher.
-  for (const auto& pub : deployment_.publishers) {
-    assert(deployment_.topology.has_broker(pub.home));
-    // BFS tree rooted at the publisher's home broker.
-    std::unordered_map<BrokerId, BrokerId> toward;  // broker -> neighbor toward home
-    std::vector<BrokerId> frontier{pub.home};
-    toward[pub.home] = pub.home;
-    for (std::size_t head = 0; head < frontier.size(); ++head) {
-      const BrokerId b = frontier[head];
-      for (const BrokerId n : deployment_.topology.neighbors(b)) {
-        if (!toward.contains(n)) {
-          toward[n] = b;
-          frontier.push_back(n);
+  // direction (last hop) toward its publisher. toward[p][b] is the dense
+  // ordinal of b's neighbor toward publisher p's home (the home maps to
+  // itself).
+  std::vector<std::vector<std::uint32_t>> toward(num_pubs);
+  std::vector<CompiledFilter> adv_filters;
+  adv_filters.reserve(num_pubs);
+  {
+    GREENPS_SPAN("sim.install_routing.flood");
+    for (std::size_t p = 0; p < num_pubs; ++p) {
+      const PublisherSpec& pub = deployment_.publishers[p];
+      assert(deployment_.topology.has_broker(pub.home));
+      std::vector<std::uint32_t>& parent = toward[p];
+      parent.assign(by_ord.size(), kUnseen);
+      const auto root = static_cast<std::uint32_t>(brokers_.at(pub.home).ord);
+      std::vector<std::uint32_t> frontier{root};
+      parent[root] = root;
+      for (std::size_t head = 0; head < frontier.size(); ++head) {
+        const std::uint32_t b = frontier[head];
+        for (const BrokerId n : deployment_.topology.neighbors(by_ord[b]->broker->id())) {
+          const auto o = static_cast<std::uint32_t>(brokers_.at(n).ord);
+          if (parent[o] == kUnseen) {
+            parent[o] = b;
+            frontier.push_back(o);
+          }
         }
       }
+      const Advertisement adv(pub.adv, pub.adv_filter);
+      adv_filters.emplace_back(pub.adv_filter);
+      for (const std::uint32_t b : frontier) {
+        Broker& br = *by_ord[b]->broker;
+        const Hop hop = b == root ? Hop::to_client(pub.client)
+                                  : Hop::to_broker(by_ord[parent[b]]->broker->id());
+        br.prt().insert(adv, hop);
+        // Announce to the SRT as well: it scopes matching to the candidate
+        // subscriptions intersecting this advertisement.
+        br.srt().register_advertisement(pub.adv, adv_filters.back());
+      }
+      broker(pub.home).cbc().register_publisher(pub.client, pub.adv);
     }
-    const Advertisement adv(pub.adv, pub.adv_filter);
-    for (const auto& [b, via] : toward) {
-      const Hop hop = b == pub.home ? Hop::to_client(pub.client) : Hop::to_broker(via);
-      broker(b).prt().insert(adv, hop);
-      // Announce to the SRT as well: it scopes matching to the candidate
-      // subscriptions intersecting this advertisement.
-      broker(b).srt().register_advertisement(pub.adv, pub.adv_filter);
-    }
-    broker(pub.home).cbc().register_publisher(pub.client, pub.adv);
   }
 
   // Subscription propagation: each subscription is installed at every
   // broker on the path from its home broker toward each intersecting
-  // advertisement's home broker, pointing back toward the subscriber.
-  for (const auto& sub : deployment_.subscribers) {
-    assert(deployment_.topology.has_broker(sub.home));
-    broker(sub.home).srt().insert(sub.sub, sub.filter, Hop::to_client(sub.client));
-    broker(sub.home).cbc().register_subscription(sub.sub, sub.client, sub.filter);
-    for (const auto& pub : deployment_.publishers) {
-      if (!intersects(pub.adv_filter, sub.filter)) continue;
-      const auto path = deployment_.topology.path(sub.home, pub.home);
-      assert(path.has_value());
-      // path[0] = sub.home; install at path[1..] pointing to path[i-1].
-      for (std::size_t i = 1; i < path->size(); ++i) {
-        broker((*path)[i]).srt().insert(sub.sub, sub.filter,
-                                        Hop::to_broker((*path)[i - 1]));
+  // advertisement's home broker, pointing back toward the subscriber. Paths
+  // to several advertisements share a prefix; in a tree the hop at a shared
+  // broker is the same, so each (broker, subscription) pair is installed
+  // once. installed[b] is the index + 1 of the last subscription installed
+  // at b, hop_of[b] the ordinal its entry points to.
+  {
+    GREENPS_SPAN("sim.install_routing.propagate");
+    std::vector<std::size_t> installed(by_ord.size(), 0);
+    [[maybe_unused]] std::vector<std::uint32_t> hop_of(by_ord.size(), 0);
+    for (std::size_t s = 0; s < deployment_.subscribers.size(); ++s) {
+      const SubscriberSpec& sub = deployment_.subscribers[s];
+      assert(deployment_.topology.has_broker(sub.home));
+      const CompiledFilter filter(sub.filter);
+      const auto home = static_cast<std::uint32_t>(brokers_.at(sub.home).ord);
+      Broker& home_broker = *by_ord[home]->broker;
+      home_broker.srt().insert(sub.sub, filter, Hop::to_client(sub.client));
+      home_broker.cbc().register_subscription(sub.sub, sub.client, sub.filter);
+      installed[home] = s + 1;
+      for (std::size_t p = 0; p < num_pubs; ++p) {
+        const PublisherSpec& pub = deployment_.publishers[p];
+        if (!may_intersect(adv_filters[p], filter)) {
+          assert(!intersects(pub.adv_filter, sub.filter));
+          continue;
+        }
+        if (!intersects(pub.adv_filter, sub.filter)) continue;
+        const std::vector<std::uint32_t>& parent = toward[p];
+        for (std::uint32_t prev = home, b = parent[home]; prev != b; prev = b, b = parent[b]) {
+          assert(b != kUnseen);
+          if (installed[b] == s + 1) {
+            assert(hop_of[b] == prev);
+            continue;
+          }
+          installed[b] = s + 1;
+          hop_of[b] = prev;
+          by_ord[b]->broker->srt().insert(sub.sub, filter,
+                                          Hop::to_broker(by_ord[prev]->broker->id()));
+        }
       }
     }
   }
@@ -259,9 +322,17 @@ void Simulation::install_routing() {
   // (same match sets and walk counts as the live tables), and parallel
   // matching helpers and concurrent readers require them. Tables mutated
   // after this point fall back to the live path until re-published.
-  for (auto& [id, slot] : brokers_) {
-    (void)id;
-    slot.broker->publish_routing();
+  std::size_t entries = 0;
+  {
+    GREENPS_SPAN("sim.install_routing.publish");
+    for (auto& [id, slot] : brokers_) {
+      (void)id;
+      slot.broker->publish_routing();
+      entries += slot.broker->srt().filter_count();
+    }
+  }
+  if (obs::trace_enabled()) {
+    obs::trace_complete("sim.install_routing", install_ts, obs::trace_now_us(), entries);
   }
 }
 

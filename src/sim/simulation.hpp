@@ -89,6 +89,10 @@ class Simulation {
  public:
   Simulation(Deployment deployment, StockQuoteGenerator quotes, NetworkConfig net = {},
              SimOptions opts = {});
+  // Frees the brokers' final routing snapshots at once (see the definition).
+  ~Simulation();
+  Simulation(Simulation&&) = default;
+  Simulation& operator=(Simulation&&) = default;
 
   // Advance simulated time by `duration_s`, generating and routing
   // publications. May be called repeatedly; metrics accumulate until

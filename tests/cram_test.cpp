@@ -286,6 +286,7 @@ TEST_P(CramMetricTest, CheckpointIntervalAndThreadCountDoNotChangeTheResult) {
     o.threads = threads;
     const CramResult r = cram_allocate(pool(40, 100.0), units, table, o);
     ASSERT_TRUE(r.allocation.success);
+    EXPECT_EQ(r.stats.threads_used, threads);
     EXPECT_EQ(allocation_signature(r.allocation), allocation_signature(ref.allocation));
     EXPECT_EQ(r.stats.closeness_computations, ref.stats.closeness_computations);
     EXPECT_EQ(r.stats.allocation_runs, ref.stats.allocation_runs);
@@ -293,6 +294,7 @@ TEST_P(CramMetricTest, CheckpointIntervalAndThreadCountDoNotChangeTheResult) {
     EXPECT_EQ(r.stats.clusterings_applied, ref.stats.clusterings_applied);
     EXPECT_EQ(r.stats.clusterings_rejected, ref.stats.clusterings_rejected);
     EXPECT_EQ(r.stats.one_to_many_applied, ref.stats.one_to_many_applied);
+    EXPECT_EQ(r.stats.gif_count, ref.stats.gif_count);
     EXPECT_EQ(r.stats.final_units, ref.stats.final_units);
     EXPECT_EQ(r.stats.base_rebuilds, ref.stats.base_rebuilds);
     EXPECT_EQ(r.stats.probe_units_packed, ref.stats.probe_units_packed);

@@ -6,14 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "broker/routing_tables.hpp"
 #include "common/rng.hpp"
 #include "matching/compiled_filter.hpp"
 #include "matching/matching_engine.hpp"
+#include "matching/relations.hpp"
 #include "scenario/scenario.hpp"
+#include "sim/simulation.hpp"
 
 namespace greenps {
 namespace {
@@ -215,6 +220,301 @@ TEST(SubscriptionRoutingTable, PruningReducesMatchWalks) {
   EXPECT_EQ(pruned.deliver.size(), 50u);
   EXPECT_EQ(pruned_walks, 50u);   // exactly the YHOO scope
   EXPECT_EQ(brute_walks, 200u);   // every live filter
+}
+
+// ---- scope index ----------------------------------------------------------
+
+// Equality values from a tiny domain so keys collide often: ints and doubles
+// sharing a key, two strings, bools, and NaN.
+Value eq_value(Rng& rng) {
+  switch (rng.index(9)) {
+    case 0:
+    case 1: return Value(rng.uniform_int(0, 2));
+    case 2:
+    case 3: return Value(static_cast<double>(rng.uniform_int(0, 2)));
+    case 4: return Value(std::numeric_limits<double>::quiet_NaN());
+    case 5:
+    case 6: return Value(std::string(rng.chance(0.5) ? "A" : "B"));
+    default: return Value(rng.chance(0.5));
+  }
+}
+
+const char* const kScopeAttrs[] = {"class", "symbol", "low"};
+
+// Mostly equality predicates over three attributes; sometimes none at all,
+// sometimes two on one attribute, sometimes a numeric range. `pin` adds a
+// leading [class,=,...] so every filter of a mix constrains `class` (the
+// index's narrowed path); without it the index falls back to a full scan.
+Filter scope_mix_filter(Rng& rng, bool pin) {
+  Filter f;
+  if (pin) f.add(Predicate{"class", Op::kEq, eq_value(rng)});
+  const std::size_t n = rng.index(4);
+  for (std::size_t i = 0; i < n; ++i) {
+    const char* attr = kScopeAttrs[rng.index(3)];
+    if (rng.chance(0.75)) {
+      f.add(Predicate{attr, Op::kEq, eq_value(rng)});
+    } else {
+      f.add(Predicate{attr, rng.chance(0.5) ? Op::kGe : Op::kLt,
+                      Value(static_cast<double>(rng.uniform_int(0, 2)))});
+    }
+  }
+  if (!f.empty() && rng.chance(0.15)) {
+    // Second equality predicate on the attribute of the first.
+    f.add(Predicate{f.predicates().front().attribute, Op::kEq, eq_value(rng)});
+  }
+  return f;
+}
+
+// Brute-force candidate test on the source filters (attribute strings, not
+// interned ids): the scope index must reproduce exactly this relation.
+bool oracle_eq_disjoint(const Filter& a, const Filter& b) {
+  for (const Predicate& pa : a.predicates()) {
+    if (pa.op != Op::kEq) continue;
+    for (const Predicate& pb : b.predicates()) {
+      if (pb.op == Op::kEq && pa.attribute == pb.attribute &&
+          !(value_key(pa.value) == value_key(pb.value))) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+// A publication satisfying the filter's equality and range predicates where
+// it can (two different pinned values cannot both hold), plus noise.
+Publication publication_near(Rng& rng, const Filter& f) {
+  Publication pub;
+  for (const Predicate& p : f.predicates()) {
+    if (p.op == Op::kEq) {
+      pub.set_attr(p.attribute, p.value);
+    } else if (p.op == Op::kGe) {
+      pub.set_attr(p.attribute, Value(p.value.as_double() + rng.uniform_real(0.0, 1.0)));
+    } else if (p.op == Op::kLt) {
+      pub.set_attr(p.attribute, Value(p.value.as_double() - rng.uniform_real(0.0, 1.0)));
+    }
+  }
+  if (rng.chance(0.3)) pub.set_attr(kScopeAttrs[rng.index(3)], eq_value(rng));
+  return pub;
+}
+
+// 1,200 random mixes of advertisements and subscriptions. Each scope's
+// candidate set must equal a brute-force eq_disjoint scan over the live
+// subscriptions: a conforming publication walks exactly that many
+// candidates, and every path returns the brute-force match set. Mixes cover
+// filters without equality predicates, two equality predicates on one
+// attribute, int/double key aliases and NaN, advertisements registered
+// before and after their subscriptions (and re-registered), and remove
+// followed by re-insert. Checked on the live table and on its snapshot.
+TEST(SubscriptionRoutingTable, ScopeIndexMatchesBruteForceCandidateScan) {
+  ToggleGuard guard;
+  SubscriptionRoutingTable::set_adv_pruning_enabled(true);
+  MatchingEngine::set_index_enabled(true);
+  Rng rng(1611);
+  std::size_t pruned_checks = 0;
+  for (int mix = 0; mix < 1200; ++mix) {
+    const bool pin = rng.chance(0.5);
+    SubscriptionRoutingTable srt;
+    std::map<std::uint64_t, Filter> advs;
+    std::map<std::uint64_t, std::pair<Filter, Hop>> subs;
+    const std::size_t num_advs = 1 + rng.index(5);
+    const std::size_t before = rng.index(num_advs + 1);
+    auto register_adv = [&](std::uint64_t id) {
+      const Filter f = scope_mix_filter(rng, pin);
+      srt.register_advertisement(AdvId{id}, f);
+      advs[id] = f;
+    };
+    auto insert_sub = [&](std::uint64_t id) {
+      const Filter f = scope_mix_filter(rng, pin);
+      const Hop hop = rng.chance(0.5) ? Hop::to_client(ClientId{id})
+                                      : Hop::to_broker(BrokerId{rng.index(4)});
+      srt.insert(SubId{id}, f, hop);
+      subs[id] = {f, hop};
+    };
+    for (std::uint64_t a = 0; a < before; ++a) register_adv(a);
+    const std::uint64_t num_subs = 4 + rng.index(20);
+    for (std::uint64_t s = 0; s < num_subs; ++s) insert_sub(s);
+    for (std::uint64_t a = before; a < num_advs; ++a) register_adv(a);
+    if (rng.chance(0.5)) {
+      // Re-register a scope, half the time under its old filter.
+      const std::uint64_t a = rng.index(num_advs);
+      if (rng.chance(0.5)) {
+        srt.register_advertisement(AdvId{a}, advs.at(a));
+      } else {
+        register_adv(a);
+      }
+    }
+    for (int k = 0; k < 4; ++k) {
+      const std::uint64_t s = rng.index(num_subs);
+      srt.remove(SubId{s});
+      subs.erase(s);
+      if (rng.chance(0.6)) insert_sub(s);  // re-insert, usually a new filter
+    }
+    if (rng.chance(0.3)) insert_sub(rng.index(num_subs));  // replace in place
+
+    auto check = [&](const char* path) {
+      for (int round = 0; round < 6; ++round) {
+        const std::uint64_t adv = rng.index(num_advs);
+        Publication pub = publication_near(rng, advs.at(adv));
+        if (rng.chance(0.9)) pub.set_header(AdvId{adv}, 1);
+        const BrokerId excl{rng.index(4)};
+        const BrokerId* exclude = rng.chance(0.3) ? &excl : nullptr;
+
+        SubscriptionRoutingTable::MatchResult expected;
+        std::size_t candidates = 0;
+        for (const auto& [id, entry] : subs) {
+          if (!oracle_eq_disjoint(advs.at(adv), entry.first)) ++candidates;
+          if (!entry.first.matches(pub)) continue;
+          const Hop& hop = entry.second;
+          if (hop.kind == Hop::Kind::kClient) {
+            expected.deliver.emplace_back(SubId{id}, hop.client);
+          } else if (exclude == nullptr || hop.broker != *exclude) {
+            expected.forward_to.push_back(hop.broker);
+          }
+        }
+        std::sort(expected.forward_to.begin(), expected.forward_to.end());
+        expected.forward_to.erase(
+            std::unique(expected.forward_to.begin(), expected.forward_to.end()),
+            expected.forward_to.end());
+        std::sort(expected.deliver.begin(), expected.deliver.end());
+
+        MatchingEngine::reset_match_walks();
+        const auto got = srt.match(pub, exclude);
+        const std::size_t walks = MatchingEngine::match_walks();
+        EXPECT_EQ(got.deliver, expected.deliver) << path << " mix " << mix;
+        EXPECT_EQ(got.forward_to, expected.forward_to) << path << " mix " << mix;
+        if (pub.adv_id().valid() && advs.at(adv).matches(pub)) {
+          EXPECT_EQ(walks, candidates) << path << " mix " << mix << ": "
+                                       << advs.at(adv).to_string() << " / " << pub.to_string();
+          ++pruned_checks;
+        }
+      }
+    };
+    check("live");
+    srt.publish();
+    check("snapshot");
+  }
+  EXPECT_GT(pruned_checks, 2000u);  // the scoped path really ran
+}
+
+// The install pre-filter never rules out a pair intersects() accepts.
+TEST(Relations, MayIntersectIsNecessaryForIntersects) {
+  Rng rng(5);
+  std::size_t ruled_out = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const bool pin = rng.chance(0.5);
+    const Filter a = scope_mix_filter(rng, pin);
+    const Filter b = scope_mix_filter(rng, pin);
+    if (may_intersect(CompiledFilter(a), CompiledFilter(b))) continue;
+    ++ruled_out;
+    EXPECT_FALSE(intersects(a, b)) << a.to_string() << " / " << b.to_string();
+  }
+  EXPECT_GT(ruled_out, 1000u);
+}
+
+// ---- routing install ------------------------------------------------------
+
+// install_routing walks each subscription along the flood's BFS trees and
+// installs each (broker, subscription) pair once. On random trees every
+// broker's SRT must equal a reference built the old way: Topology::path
+// plus intersects() per (subscription, advertisement) pair, re-inserting on
+// shared path prefixes. Symbols are shared between publishers, so one
+// subscription often intersects several advertisements.
+TEST(InstallRouting, MatchesPerPairPathReference) {
+  ToggleGuard guard;
+  const std::string symbols[] = {"A", "B", "C"};
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    Rng rng(seed);
+    Deployment dep;
+    const std::size_t n = 1 + rng.index(30);
+    for (std::uint64_t b = 0; b < n; ++b) {
+      dep.topology.add_broker(BrokerId{b});
+      if (b > 0) dep.topology.add_link(BrokerId{b}, BrokerId{rng.index(b)});
+    }
+    const std::size_t num_pubs = 1 + rng.index(6);
+    for (std::size_t p = 0; p < num_pubs; ++p) {
+      PublisherSpec spec;
+      spec.client = ClientId{1000 + p};
+      spec.adv = AdvId{p};
+      spec.symbol = symbols[rng.index(3)];
+      spec.home = BrokerId{rng.index(n)};
+      spec.adv_filter = symbol_filter(spec.symbol);
+      if (rng.chance(0.3)) spec.adv_filter.add(Predicate{"low", Op::kGt, Value(0.0)});
+      dep.publishers.push_back(std::move(spec));
+    }
+    const std::size_t num_subs = 1 + rng.index(60);
+    for (std::uint64_t s = 0; s < num_subs; ++s) {
+      SubscriberSpec spec;
+      spec.client = ClientId{s};
+      spec.sub = SubId{s};
+      spec.home = BrokerId{rng.index(n)};
+      if (rng.chance(0.2)) {
+        spec.filter = scope_mix_filter(rng, false);
+      } else {
+        spec.filter.add(Predicate{"class", Op::kEq, Value(std::string("STOCK"))});
+        if (rng.chance(0.8)) {
+          spec.filter.add(Predicate{"symbol", Op::kEq, Value(symbols[rng.index(3)])});
+        }
+        if (rng.chance(0.5)) {
+          spec.filter.add(Predicate{"low", Op::kLt, Value(rng.uniform_real(-2.0, 2.0))});
+        }
+      }
+      dep.subscribers.push_back(std::move(spec));
+    }
+
+    std::unordered_map<BrokerId, SubscriptionRoutingTable> ref;
+    for (const PublisherSpec& pub : dep.publishers) {
+      for (const BrokerId b : dep.topology.brokers()) {
+        ref[b].register_advertisement(pub.adv, pub.adv_filter);
+      }
+    }
+    for (const SubscriberSpec& sub : dep.subscribers) {
+      ref[sub.home].insert(sub.sub, sub.filter, Hop::to_client(sub.client));
+      for (const PublisherSpec& pub : dep.publishers) {
+        if (!intersects(pub.adv_filter, sub.filter)) continue;
+        const auto path = dep.topology.path(sub.home, pub.home);
+        ASSERT_TRUE(path.has_value());
+        for (std::size_t i = 1; i < path->size(); ++i) {
+          ref[(*path)[i]].insert(sub.sub, sub.filter, Hop::to_broker((*path)[i - 1]));
+        }
+      }
+    }
+
+    const Topology topology = dep.topology;
+    const std::vector<SubscriberSpec> subscribers = dep.subscribers;
+    Simulation sim(std::move(dep), StockQuoteGenerator(StockQuoteGenerator::Config{}, Rng(99)),
+                   NetworkConfig{}, SimOptions{});
+    for (const BrokerId b : topology.brokers()) {
+      const SubscriptionRoutingTable& got = sim.broker(b).srt();
+      const SubscriptionRoutingTable& want = ref[b];
+      ASSERT_EQ(got.filter_count(), want.filter_count()) << "seed " << seed << " broker " << b.value();
+      for (const SubscriberSpec& sub : subscribers) {
+        EXPECT_EQ(got.contains(sub.sub), want.contains(sub.sub)) << "seed " << seed;
+      }
+    }
+    for (int round = 0; round < 30; ++round) {
+      Publication pub;
+      pub.set_attr("class", Value(std::string("STOCK")));
+      pub.set_attr("symbol", Value(symbols[rng.index(3)]));
+      pub.set_attr("low", Value(rng.uniform_real(-2.0, 2.0)));
+      if (rng.chance(0.8)) pub.set_header(AdvId{rng.index(num_pubs)}, 1);
+      const bool pruning = rng.chance(0.8);
+      for (const BrokerId b : topology.brokers()) {
+        const auto& nbrs = topology.neighbors(b);
+        const BrokerId* exclude =
+            !nbrs.empty() && rng.chance(0.5) ? &nbrs[rng.index(nbrs.size())] : nullptr;
+        SubscriptionRoutingTable::set_adv_pruning_enabled(pruning);
+        MatchingEngine::reset_match_walks();
+        const auto got = sim.broker(b).srt().match(pub, exclude);
+        const std::size_t got_walks = MatchingEngine::match_walks();
+        MatchingEngine::reset_match_walks();
+        const auto want = ref[b].match(pub, exclude);
+        const std::size_t want_walks = MatchingEngine::match_walks();
+        EXPECT_EQ(got.deliver, want.deliver) << "seed " << seed << " broker " << b.value();
+        EXPECT_EQ(got.forward_to, want.forward_to) << "seed " << seed << " broker " << b.value();
+        EXPECT_EQ(got_walks, want_walks) << "seed " << seed << " broker " << b.value();
+      }
+    }
+  }
 }
 
 // End-to-end determinism: a full simulation must produce a bit-identical

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "common/epoch.hpp"
 #include "language/parser.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/loss_oracle.hpp"
@@ -219,6 +220,20 @@ TEST(Simulation, RedeployKeepsSequenceNumbers) {
   const auto* v = info.subscriptions[0].profile.vector_for(AdvId{0});
   ASSERT_NE(v, nullptr);
   EXPECT_GE(v->first_id(), static_cast<MessageSeq>(pubs_before) - 1);
+}
+
+// A routing table's last published snapshot is retired, not freed, when the
+// table dies; destroying the simulation must reclaim them at once instead of
+// leaving them allocated until some later publish.
+TEST(Simulation, DestructionFreesRetiredRoutingSnapshots) {
+  {
+    TestNet net(3);
+    net.add_publisher("YHOO", 0);
+    net.add_subscriber("[symbol,=,'YHOO']", 2);
+    Simulation sim = net.make();
+    sim.run(1.0);
+  }
+  EXPECT_EQ(EpochDomain::global().retired_pending(), 0u);
 }
 
 TEST(Simulation, SummaryRatesAreConsistent) {
