@@ -315,6 +315,8 @@ void BM_IncrementalRecluster(benchmark::State& state) {
 BENCHMARK(BM_IncrementalRecluster)->Arg(1)->Arg(8)->Arg(32)->ArgName("batch")
     ->Unit(benchmark::kMillisecond);
 
+// The matching benches time the path the simulator runs: a snapshot built
+// from the engine, matched into a reused dense-index vector.
 void BM_MatchingEngine(benchmark::State& state) {
   Rng rng(6);
   StockQuoteGenerator quotes(StockQuoteGenerator::Config{}, rng.fork());
@@ -329,10 +331,14 @@ void BM_MatchingEngine(benchmark::State& state) {
       engine.insert(h++, f);
     }
   }
+  const MatchingEngine::Snapshot snap = engine.build_snapshot();
+  std::vector<std::uint32_t> out;
   std::size_t i = 0;
   for (auto _ : state) {
     const Publication pub = quotes.next(symbols[i++ % symbols.size()]);
-    benchmark::DoNotOptimize(engine.match(pub).size());
+    out.clear();
+    snap.match_into(pub, out);
+    benchmark::DoNotOptimize(out.size());
   }
   state.SetLabel(std::to_string(engine.size()) + " filters");
 }
@@ -352,10 +358,11 @@ void BM_MatchingEngineEqOnly(benchmark::State& state) {
   pub.set_attr("class", Value(std::string("STOCK")));
   pub.set_attr("symbol", Value(std::string("SYM7")));
   pub.set_attr("low", Value(18.0));
-  std::vector<MatchingEngine::Handle> out;
+  const MatchingEngine::Snapshot snap = engine.build_snapshot();
+  std::vector<std::uint32_t> out;
   for (auto _ : state) {
     out.clear();
-    engine.match_into(pub, out);
+    snap.match_into(pub, out);
     benchmark::DoNotOptimize(out.size());
   }
   state.SetLabel(std::to_string(engine.size()) + " filters");
@@ -379,10 +386,11 @@ void BM_MatchingEngineRangeOnly(benchmark::State& state) {
   Publication pub;
   pub.set_attr("class", Value(std::string("STOCK")));
   pub.set_attr("low", Value(42.0));
-  std::vector<MatchingEngine::Handle> out;
+  const MatchingEngine::Snapshot snap = engine.build_snapshot();
+  std::vector<std::uint32_t> out;
   for (auto _ : state) {
     out.clear();
-    engine.match_into(pub, out);
+    snap.match_into(pub, out);
     benchmark::DoNotOptimize(out.size());
   }
   state.SetLabel(std::to_string(engine.size()) + " filters");
@@ -469,7 +477,7 @@ BENCHMARK(BM_ShardedEventLoopDrain)
 // --- concurrent snapshot-match throughput (always run; BENCH_match.json) --
 //
 // Readers share one published SubscriptionRoutingTable snapshot and match
-// lock-free via match_published(); each reader owns its MatchScratch and
+// lock-free via match_into(); each reader owns its MatchScratch and
 // verifies every result — exact forward_to/deliver equality — against the
 // single-thread oracle computed up front. Throughput is aggregate match
 // operations per second across all readers. On a multi-core host the
@@ -482,7 +490,7 @@ struct MatchSuite {
   std::vector<Publication> pubs;
 };
 
-// The routing table pins its address (EpochPtr + atomic members), so suites
+// The routing table pins its address (its EpochPtr), so suites
 // are populated in place rather than returned.
 void build_eq_suite(MatchSuite& s, std::size_t n) {
   s.name = "eq_only";
@@ -536,7 +544,7 @@ MatchRunStats run_match_suite(const MatchSuite& s, std::size_t threads,
   {
     MatchScratch scratch;
     for (std::size_t p = 0; p < s.pubs.size(); ++p) {
-      s.table.match_published(s.pubs[p], nullptr, oracle[p], scratch);
+      s.table.match_into(s.pubs[p], nullptr, oracle[p], scratch);
     }
   }
 
@@ -552,7 +560,7 @@ MatchRunStats run_match_suite(const MatchSuite& s, std::size_t threads,
       std::uint64_t local_mismatches = 0;
       for (std::size_t i = 0; i < iters_per_thread; ++i) {
         const std::size_t p = (i + t) % s.pubs.size();
-        s.table.match_published(s.pubs[p], nullptr, out, scratch);
+        s.table.match_into(s.pubs[p], nullptr, out, scratch);
         local_deliveries += out.deliver.size();
         if (out.forward_to != oracle[p].forward_to || out.deliver != oracle[p].deliver) {
           ++local_mismatches;

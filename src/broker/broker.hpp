@@ -1,8 +1,8 @@
 // A PADRES-style content-based publish/subscribe broker.
 //
-// Holds the routing tables, capacity description (output bandwidth +
-// matching delay function), the CBC profiling component, and the two
-// queueing stages the simulator drives: a matching CPU (FifoServer) and a
+// Holds the subscription routing table, capacity description (output
+// bandwidth + matching delay function), the CBC profiling component, and
+// the two queueing stages the simulator drives: a matching CPU (FifoServer) and a
 // throttled output link (BandwidthLimiter).
 #pragma once
 
@@ -35,8 +35,6 @@ class Broker {
 
   [[nodiscard]] SubscriptionRoutingTable& srt() { return srt_; }
   [[nodiscard]] const SubscriptionRoutingTable& srt() const { return srt_; }
-  [[nodiscard]] AdvertisementRoutingTable& prt() { return prt_; }
-  [[nodiscard]] const AdvertisementRoutingTable& prt() const { return prt_; }
   [[nodiscard]] CbcComponent& cbc() { return cbc_; }
   [[nodiscard]] const CbcComponent& cbc() const { return cbc_; }
 
@@ -49,35 +47,19 @@ class Broker {
   [[nodiscard]] BandwidthLimiter& out_link() { return out_link_; }
   [[nodiscard]] const BandwidthLimiter& out_link() const { return out_link_; }
 
-  // Route one publication, excluding the neighbor it came from (if any).
-  [[nodiscard]] SubscriptionRoutingTable::MatchResult route(const Publication& pub,
-                                                            const BrokerId* from) const {
-    return srt_.match(pub, from);
-  }
-
-  // Allocation-free variant: fills (and clears) a caller-owned result, so a
-  // driver can reuse one MatchResult's vectors across every routed message.
+  // Route one publication through the published routing snapshot,
+  // excluding the neighbor it came from (if any). Fills (and clears) a
+  // caller-owned result, so a driver can reuse one MatchResult's vectors and
+  // one MatchScratch across every routed message.
   void route_into(const Publication& pub, const BrokerId* from,
-                  SubscriptionRoutingTable::MatchResult& out) const {
-    srt_.match_into(pub, from, out);
+                  SubscriptionRoutingTable::MatchResult& out, MatchScratch& scratch) const {
+    srt_.match_into(pub, from, out, scratch);
   }
 
-  // Hot-path variant with caller-owned scratch and optional parallel
-  // candidate evaluation (bit-identical result either way).
-  void route_into(const Publication& pub, const BrokerId* from,
-                  SubscriptionRoutingTable::MatchResult& out, MatchScratch& scratch,
-                  CandidateEvaluator* eval = nullptr) const {
-    srt_.match_into(pub, from, out, scratch, eval);
-  }
-
-  // Publish immutable snapshots of both routing tables (epoch handle), so
-  // concurrent readers — parallel matching helpers, other threads via
-  // match_published — can route lock-free. Call after (re)installing
-  // routing state; cheap when nothing changed.
-  void publish_routing() {
-    srt_.publish();
-    prt_.publish();
-  }
+  // Publish an immutable snapshot of the routing table (epoch handle):
+  // route_into sees routing state only from here on. Call after
+  // (re)installing routing state.
+  void publish_routing() { srt_.publish(); }
 
   void reset_queues() {
     matcher_.reset();
@@ -96,7 +78,6 @@ class Broker {
   BrokerId id_;
   BrokerCapacity capacity_;
   SubscriptionRoutingTable srt_;
-  AdvertisementRoutingTable prt_;
   CbcComponent cbc_;
   FifoServer matcher_;
   BandwidthLimiter out_link_;

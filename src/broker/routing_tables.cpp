@@ -1,8 +1,7 @@
 #include "broker/routing_tables.hpp"
 
 #include <algorithm>
-
-#include "matching/relations.hpp"
+#include <atomic>
 
 namespace greenps {
 
@@ -93,14 +92,12 @@ void SubscriptionRoutingTable::unindex_scope(AdvScope& scope) {
 
 void SubscriptionRoutingTable::insert(SubId sub, CompiledFilter filter, Hop next_hop) {
   if (hops_.contains(sub)) remove(sub);
-  const CompiledFilter* cf = &engine_.insert(sub.value(), std::move(filter));
+  const CompiledFilter& cf = engine_.insert(sub.value(), std::move(filter));
   hops_.insert_or_assign(sub, next_hop);
-  dirty_.store(true, std::memory_order_relaxed);
-  for_each_compatible_scope(cf->eq_keys(), [&](AdvScope& scope) {
-    const auto pos = std::lower_bound(
-        scope.candidates.begin(), scope.candidates.end(), sub.value(),
-        [](const Cand& c, MatchingEngine::Handle h) { return c.handle < h; });
-    scope.candidates.insert(pos, Cand{sub.value(), cf, next_hop});
+  for_each_compatible_scope(cf.eq_keys(), [&](AdvScope& scope) {
+    const auto pos =
+        std::lower_bound(scope.candidates.begin(), scope.candidates.end(), sub.value());
+    scope.candidates.insert(pos, sub.value());
   });
 }
 
@@ -110,16 +107,12 @@ void SubscriptionRoutingTable::remove(SubId sub) {
   // same visit finds every candidate entry. The engine entry (and with it
   // the equality keys) must outlive the visit.
   for_each_compatible_scope(engine_.compiled(sub.value())->eq_keys(), [&](AdvScope& scope) {
-    const auto pos = std::lower_bound(
-        scope.candidates.begin(), scope.candidates.end(), sub.value(),
-        [](const Cand& c, MatchingEngine::Handle h) { return c.handle < h; });
-    if (pos != scope.candidates.end() && pos->handle == sub.value()) {
-      scope.candidates.erase(pos);
-    }
+    const auto pos =
+        std::lower_bound(scope.candidates.begin(), scope.candidates.end(), sub.value());
+    if (pos != scope.candidates.end() && *pos == sub.value()) scope.candidates.erase(pos);
   });
   engine_.remove(sub.value());
   hops_.erase(sub);
-  dirty_.store(true, std::memory_order_relaxed);
 }
 
 void SubscriptionRoutingTable::register_advertisement(AdvId id, CompiledFilter filter) {
@@ -130,15 +123,10 @@ void SubscriptionRoutingTable::register_advertisement(AdvId id, CompiledFilter f
   scope.candidates.clear();
   const EqKeys eqs = scope.compiled.eq_keys();
   engine_.for_each([&](MatchingEngine::Handle h, const CompiledFilter& f) {
-    if (eq_disjoint(eqs, f.eq_keys())) return;
-    const auto hit = hops_.find(SubId{h});
-    if (hit == hops_.end()) return;
-    scope.candidates.push_back(Cand{h, &f, hit->second});
+    if (!eq_disjoint(eqs, f.eq_keys())) scope.candidates.push_back(h);
   });
-  std::sort(scope.candidates.begin(), scope.candidates.end(),
-            [](const Cand& a, const Cand& b) { return a.handle < b.handle; });
+  std::sort(scope.candidates.begin(), scope.candidates.end());
   index_scope(scope);
-  dirty_.store(true, std::memory_order_relaxed);
 }
 
 SubscriptionRoutingTable::Snapshot* SubscriptionRoutingTable::build_snapshot() const {
@@ -153,8 +141,8 @@ SubscriptionRoutingTable::Snapshot* SubscriptionRoutingTable::build_snapshot() c
     Snapshot::SnapScope snap_scope;
     snap_scope.compiled = scope.compiled;
     snap_scope.candidates.reserve(scope.candidates.size());
-    for (const Cand& c : scope.candidates) {
-      snap_scope.candidates.push_back(s->engine.dense_index(c.handle));
+    for (const MatchingEngine::Handle h : scope.candidates) {
+      snap_scope.candidates.push_back(s->engine.dense_index(h));
     }
     s->advs.emplace(id, std::move(snap_scope));
   }
@@ -162,10 +150,8 @@ SubscriptionRoutingTable::Snapshot* SubscriptionRoutingTable::build_snapshot() c
 }
 
 void SubscriptionRoutingTable::publish() {
-  if (!dirty_.load(std::memory_order_relaxed)) return;
   Snapshot* s = build_snapshot();
   s->version = next_version_++;
-  dirty_.store(false, std::memory_order_relaxed);
   snap_.publish(s);
 }
 
@@ -175,24 +161,18 @@ std::uint64_t SubscriptionRoutingTable::published_version() const {
   return s == nullptr ? 0 : s->version;
 }
 
-void SubscriptionRoutingTable::finalize(MatchResult& result) {
-  // Deterministic ordering for reproducible simulations; forwarding dedup is
-  // one sort + unique instead of a quadratic std::find per hop.
-  std::sort(result.forward_to.begin(), result.forward_to.end());
-  result.forward_to.erase(std::unique(result.forward_to.begin(), result.forward_to.end()),
-                          result.forward_to.end());
-  std::sort(result.deliver.begin(), result.deliver.end());
-}
-
-void SubscriptionRoutingTable::match_snapshot(const Snapshot& snap, const Publication& pub,
-                                              const BrokerId* exclude, MatchResult& result,
-                                              MatchScratch& scratch,
-                                              CandidateEvaluator* eval) const {
+std::uint64_t SubscriptionRoutingTable::match_into(const Publication& pub,
+                                                   const BrokerId* exclude,
+                                                   MatchResult& result,
+                                                   MatchScratch& scratch) const {
   result.clear();
+  EpochGuard guard;
+  const Snapshot* snap = snap_.load();
+  if (snap == nullptr) return 0;
   auto route = [&](std::uint32_t idx) {
-    const Hop& hop = snap.hops[idx];
+    const Hop& hop = snap->hops[idx];
     if (hop.kind == Hop::Kind::kClient) {
-      result.deliver.emplace_back(SubId{snap.engine.subs[idx].handle}, hop.client);
+      result.deliver.emplace_back(SubId{snap->engine.subs[idx].handle}, hop.client);
     } else {
       if (exclude != nullptr && hop.broker == *exclude) return;
       result.forward_to.push_back(hop.broker);
@@ -200,152 +180,30 @@ void SubscriptionRoutingTable::match_snapshot(const Snapshot& snap, const Public
   };
   const Snapshot::SnapScope* scope = nullptr;
   if (adv_pruning_enabled() && pub.adv_id().valid()) {
-    const auto it = snap.advs.find(pub.adv_id());
-    if (it != snap.advs.end() && it->second.compiled.matches(pub)) scope = &it->second;
-  }
-  if (scope != nullptr) {
-    // Advertisement-scoped fast path: the candidate list is one dense pass.
-    // Walks are credited up front as in the live path; with an evaluator the
-    // pass fans out but the emitted order (ascending candidate position)
-    // keeps the result bit-identical.
-    MatchingEngine::add_match_walks(scope->candidates.size());
-    auto pred = [&](std::size_t i) {
-      return snap.engine.subs[scope->candidates[i]].filter.matches(pub);
-    };
-    for_each_matching(eval, &scratch, scope->candidates.size(), pred,
-                      [&](std::size_t i) { route(scope->candidates[i]); });
-  } else {
-    scratch.dense.clear();
-    snap.engine.match_into(pub, scratch, scratch.dense, eval);
-    for (const std::uint32_t idx : scratch.dense) route(idx);
-  }
-  finalize(result);
-}
-
-void SubscriptionRoutingTable::match_live(const Publication& pub, const BrokerId* exclude,
-                                          MatchResult& result, MatchScratch& scratch,
-                                          CandidateEvaluator* eval) const {
-  (void)eval;  // parallel evaluation runs on published snapshots only
-  result.clear();
-  const AdvScope* scope = nullptr;
-  if (adv_pruning_enabled() && pub.adv_id().valid()) {
-    const auto it = advs_.find(pub.adv_id());
+    const auto it = snap->advs.find(pub.adv_id());
     // Pruning applies only to conforming publications; anything else (or an
     // unknown advertisement) takes the full engine match.
-    if (it != advs_.end() && it->second.compiled.matches(pub)) scope = &it->second;
+    if (it != snap->advs.end() && it->second.compiled.matches(pub)) scope = &it->second;
   }
   if (scope != nullptr) {
-    // Fast path: candidates carry compiled filter and hop, so the whole
-    // routing decision is a linear pass with zero hash lookups.
+    // Advertisement-scoped fast path: the candidate list is one dense pass,
+    // with its walks credited up front.
     MatchingEngine::add_match_walks(scope->candidates.size());
-    for (const Cand& c : scope->candidates) {
-      if (!c.filter->matches(pub)) continue;
-      if (c.hop.kind == Hop::Kind::kClient) {
-        result.deliver.emplace_back(SubId{c.handle}, c.hop.client);
-      } else {
-        if (exclude != nullptr && c.hop.broker == *exclude) continue;
-        result.forward_to.push_back(c.hop.broker);
-      }
+    for (const std::uint32_t idx : scope->candidates) {
+      if (snap->engine.subs[idx].filter.matches(pub)) route(idx);
     }
   } else {
-    scratch.handles.clear();
-    engine_.match_into(pub, scratch.handles);
-    for (const auto handle : scratch.handles) {
-      const SubId sub{handle};
-      const auto it = hops_.find(sub);
-      if (it == hops_.end()) continue;
-      const Hop& hop = it->second;
-      if (hop.kind == Hop::Kind::kClient) {
-        result.deliver.emplace_back(sub, hop.client);
-      } else {
-        if (exclude != nullptr && hop.broker == *exclude) continue;
-        result.forward_to.push_back(hop.broker);
-      }
-    }
+    scratch.dense.clear();
+    snap->engine.match_into(pub, scratch.dense);
+    for (const std::uint32_t idx : scratch.dense) route(idx);
   }
-  finalize(result);
-}
-
-void SubscriptionRoutingTable::match_into(const Publication& pub, const BrokerId* exclude,
-                                          MatchResult& result, MatchScratch& scratch,
-                                          CandidateEvaluator* eval) const {
-  if (!dirty_.load(std::memory_order_relaxed)) {
-    EpochGuard guard;
-    if (const Snapshot* s = snap_.load(); s != nullptr) {
-      match_snapshot(*s, pub, exclude, result, scratch, eval);
-      return;
-    }
-  }
-  match_live(pub, exclude, result, scratch, eval);
-}
-
-std::uint64_t SubscriptionRoutingTable::match_published(const Publication& pub,
-                                                        const BrokerId* exclude,
-                                                        MatchResult& result,
-                                                        MatchScratch& scratch,
-                                                        CandidateEvaluator* eval) const {
-  EpochGuard guard;
-  const Snapshot* s = snap_.load();
-  if (s == nullptr) {
-    result.clear();
-    return 0;
-  }
-  match_snapshot(*s, pub, exclude, result, scratch, eval);
-  return s->version;
-}
-
-void AdvertisementRoutingTable::insert(Advertisement adv, Hop last_hop) {
-  remove(adv.id());
-  entries_.push_back(Entry{std::move(adv), last_hop});
-  dirty_.store(true, std::memory_order_relaxed);
-}
-
-void AdvertisementRoutingTable::remove(AdvId id) {
-  entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
-                                [id](const Entry& e) { return e.adv.id() == id; }),
-                 entries_.end());
-  dirty_.store(true, std::memory_order_relaxed);
-}
-
-std::vector<Hop> AdvertisementRoutingTable::directions_for(const Filter& f) const {
-  std::vector<Hop> out;
-  for (const Entry& e : entries_) {
-    if (!intersects(e.adv.filter(), f)) continue;
-    if (std::find(out.begin(), out.end(), e.last_hop) == out.end()) {
-      out.push_back(e.last_hop);
-    }
-  }
-  return out;
-}
-
-void AdvertisementRoutingTable::publish() {
-  if (!dirty_.load(std::memory_order_relaxed)) return;
-  auto* s = new Snapshot();
-  s->entries = entries_;
-  s->version = next_version_++;
-  dirty_.store(false, std::memory_order_relaxed);
-  snap_.publish(s);
-}
-
-std::uint64_t AdvertisementRoutingTable::published_version() const {
-  EpochGuard guard;
-  const Snapshot* s = snap_.load();
-  return s == nullptr ? 0 : s->version;
-}
-
-std::uint64_t AdvertisementRoutingTable::directions_for_published(
-    const Filter& f, std::vector<Hop>& out) const {
-  out.clear();
-  EpochGuard guard;
-  const Snapshot* s = snap_.load();
-  if (s == nullptr) return 0;
-  for (const Entry& e : s->entries) {
-    if (!intersects(e.adv.filter(), f)) continue;
-    if (std::find(out.begin(), out.end(), e.last_hop) == out.end()) {
-      out.push_back(e.last_hop);
-    }
-  }
-  return s->version;
+  // Deterministic ordering for reproducible simulations; forwarding dedup is
+  // one sort + unique instead of a quadratic std::find per hop.
+  std::sort(result.forward_to.begin(), result.forward_to.end());
+  result.forward_to.erase(std::unique(result.forward_to.begin(), result.forward_to.end()),
+                          result.forward_to.end());
+  std::sort(result.deliver.begin(), result.deliver.end());
+  return snap->version;
 }
 
 }  // namespace greenps

@@ -1,19 +1,18 @@
 // Routing state of a filter-based publish/subscribe broker: the
-// subscription routing table (SRT) steering publications toward subscribers
-// and the publication/advertisement routing table (PRT) steering
-// subscriptions toward matching advertisements.
+// subscription routing table (SRT) steering publications toward
+// subscribers. (Advertisements steer subscriptions along the flood trees
+// that Simulation::install_routing builds; no broker keeps a table of them.)
 //
 // Concurrency model: mutations (insert/remove/register_advertisement) and
-// publish() belong to one owning thread. The match read paths are const and
-// keep no table-side scratch — callers own a MatchScratch — so once a
-// snapshot is published, any number of threads can match concurrently and
-// lock-free via match_published() while the owner keeps mutating and
-// re-publishing: readers pin an epoch, load the snapshot pointer with one
-// atomic load, and retired snapshots are reclaimed when the last reader
-// leaves (src/common/epoch.hpp).
+// publish() belong to one owning thread, and publish() is the only point
+// where they become visible. The match read path is const, reads only the
+// latest published snapshot and keeps no table-side scratch — callers own a
+// MatchScratch — so any number of threads can match concurrently and
+// lock-free while the owner keeps mutating and re-publishing: readers pin an
+// epoch, load the snapshot pointer with one atomic load, and retired
+// snapshots are reclaimed when the last reader leaves (src/common/epoch.hpp).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <unordered_map>
@@ -22,7 +21,6 @@
 
 #include "common/epoch.hpp"
 #include "common/ids.hpp"
-#include "language/advertisement.hpp"
 #include "matching/matching_engine.hpp"
 
 namespace greenps {
@@ -81,11 +79,10 @@ class SubscriptionRoutingTable {
   // from `id` (one matching the advertisement's filter) can only match
   // subscriptions compatible with it, so the table precomputes a
   // conservative candidate set per advertisement — routing tables are
-  // static during a simulation run — and matches only those candidates.
-  // Each candidate carries its compiled filter and next hop, so the fast
-  // path runs without any per-candidate hash lookup. Non-conforming
-  // publications fall back to the full engine match, so registration never
-  // changes the match set.
+  // static during a simulation run — and matches only those candidates; the
+  // snapshot stores them as dense indices, so the fast path runs without
+  // any per-candidate hash lookup. Non-conforming publications fall back to
+  // the full engine match, so registration never changes the match set.
   //
   // Scopes are indexed by (attribute, equality key), with a count of scopes
   // per attribute, so insert() and remove() visit only the scopes a
@@ -98,41 +95,26 @@ class SubscriptionRoutingTable {
   void register_advertisement(AdvId id, CompiledFilter filter);
 
   // Build an immutable snapshot of the current table and publish it with a
-  // single atomic pointer swap. Owner-thread only; cheap when nothing
-  // changed since the last publish.
+  // single atomic pointer swap. Owner-thread only.
   void publish();
   // Version of the latest published snapshot (0 before the first publish).
   [[nodiscard]] std::uint64_t published_version() const;
 
-  // Match a publication, optionally excluding the broker link it arrived on
-  // (never forward a publication back where it came from). `out` is cleared
-  // first. Owner-thread path: routes through the published snapshot when it
-  // is current, else through the live index. `scratch` is caller-owned;
-  // `eval` (optional) fans large candidate batches across threads with a
-  // bit-identical result.
-  void match_into(const Publication& pub, const BrokerId* exclude, MatchResult& out,
-                  MatchScratch& scratch, CandidateEvaluator* eval = nullptr) const;
+  // Match a publication against the latest published snapshot, optionally
+  // excluding the broker link it arrived on (never forward a publication
+  // back where it came from). `out` is cleared first; `scratch` is
+  // caller-owned. Safe from any thread at any time, including while the
+  // owner mutates and re-publishes. Returns the snapshot version matched
+  // against, or 0 (empty result) if nothing has been published yet.
+  std::uint64_t match_into(const Publication& pub, const BrokerId* exclude, MatchResult& out,
+                           MatchScratch& scratch) const;
 
-  // Convenience overload with call-local scratch (allocates; tests and cold
-  // paths only).
-  void match_into(const Publication& pub, const BrokerId* exclude, MatchResult& out) const {
-    MatchScratch scratch;
-    match_into(pub, exclude, out, scratch);
-  }
-
-  // Lock-free concurrent read path: match against the latest published
-  // snapshot, never touching live state. Safe from any thread at any time,
-  // including while the owner mutates and re-publishes. Returns the
-  // snapshot version matched against, or 0 (empty result) if nothing has
-  // been published yet.
-  std::uint64_t match_published(const Publication& pub, const BrokerId* exclude,
-                                MatchResult& out, MatchScratch& scratch,
-                                CandidateEvaluator* eval = nullptr) const;
-
+  // Convenience wrapper with call-local scratch (allocates; tests only).
   [[nodiscard]] MatchResult match(const Publication& pub,
                                   const BrokerId* exclude = nullptr) const {
     MatchResult out;
-    match_into(pub, exclude, out);
+    MatchScratch scratch;
+    match_into(pub, exclude, out, scratch);
     return out;
   }
 
@@ -149,15 +131,9 @@ class SubscriptionRoutingTable {
   using EqKey = CompiledFilter::EqKey;
   using EqKeys = std::span<const EqKey>;
 
-  struct Cand {
-    MatchingEngine::Handle handle;
-    const CompiledFilter* filter;  // owned by engine_, valid while inserted
-    Hop hop;
-  };
-
   struct AdvScope {
-    CompiledFilter compiled;       // conformance check for incoming publications
-    std::vector<Cand> candidates;  // sorted by handle
+    CompiledFilter compiled;  // conformance check for incoming publications
+    std::vector<MatchingEngine::Handle> candidates;  // ascending
   };
 
   // Immutable published table: the engine snapshot (dense subs in ascending
@@ -185,12 +161,6 @@ class SubscriptionRoutingTable {
   void unindex_scope(AdvScope& scope);
 
   [[nodiscard]] Snapshot* build_snapshot() const;
-  void match_snapshot(const Snapshot& snap, const Publication& pub,
-                      const BrokerId* exclude, MatchResult& out, MatchScratch& scratch,
-                      CandidateEvaluator* eval) const;
-  void match_live(const Publication& pub, const BrokerId* exclude, MatchResult& out,
-                  MatchScratch& scratch, CandidateEvaluator* eval) const;
-  static void finalize(MatchResult& out);
 
   MatchingEngine engine_;
   std::unordered_map<SubId, Hop> hops_;
@@ -202,43 +172,6 @@ class SubscriptionRoutingTable {
   std::unordered_map<InternId, std::size_t> scopes_per_attr_;
   EpochPtr<Snapshot> snap_;
   std::uint64_t next_version_ = 1;
-  // Set by mutators, cleared by publish(): the owner-thread match path uses
-  // the snapshot only while it reflects the live table.
-  std::atomic<bool> dirty_{true};
-};
-
-class AdvertisementRoutingTable {
- public:
-  struct Entry {
-    Advertisement adv;
-    Hop last_hop;  // direction toward the publisher
-  };
-
-  void insert(Advertisement adv, Hop last_hop);
-  void remove(AdvId id);
-
-  [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
-  // Directions (deduplicated) toward every advertisement intersecting `f`.
-  // Owner-thread path (reads the live table).
-  [[nodiscard]] std::vector<Hop> directions_for(const Filter& f) const;
-
-  // Publish an immutable copy of the table; see SubscriptionRoutingTable.
-  void publish();
-  [[nodiscard]] std::uint64_t published_version() const;
-  // Lock-free read of the latest published snapshot; appends to `out`
-  // (cleared first). Returns the snapshot version, or 0 if none.
-  std::uint64_t directions_for_published(const Filter& f, std::vector<Hop>& out) const;
-
- private:
-  struct Snapshot {
-    std::vector<Entry> entries;
-    std::uint64_t version = 0;
-  };
-
-  std::vector<Entry> entries_;
-  EpochPtr<Snapshot> snap_;
-  std::uint64_t next_version_ = 1;
-  std::atomic<bool> dirty_{true};
 };
 
 }  // namespace greenps

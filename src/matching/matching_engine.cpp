@@ -62,7 +62,7 @@ const CompiledFilter& MatchingEngine::insert(Handle handle, CompiledFilter filte
     e.eq_key = p->key;
     const auto it = entries_.insert_or_assign(handle, std::move(e)).first;
     const Entry& stored = it->second;
-    attr_indexes_[stored.index_attr].eq[stored.eq_key].push_back(Ref{handle, &stored});
+    attr_indexes_[stored.index_attr].eq[stored.eq_key].push_back(handle);
     return stored.compiled;
   }
 
@@ -103,12 +103,12 @@ const CompiledFilter& MatchingEngine::insert(Handle handle, CompiledFilter filte
     e.index_attr = *best;
     const auto it = entries_.insert_or_assign(handle, std::move(e)).first;
     auto& intervals = attr_indexes_[it->second.index_attr].intervals;
-    const Interval iv{b.lo, b.hi, handle, &it->second};
+    const Interval iv{b.lo, b.hi, handle};
     intervals.insert(std::upper_bound(intervals.begin(), intervals.end(), iv), iv);
     return it->second.compiled;
   }
   const auto it = entries_.insert_or_assign(handle, std::move(e)).first;
-  scan_list_.push_back(Ref{handle, &it->second});
+  scan_list_.push_back(handle);
   return it->second.compiled;
 }
 
@@ -116,11 +116,7 @@ void MatchingEngine::remove(Handle handle) {
   const auto it = entries_.find(handle);
   if (it == entries_.end()) return;
   const Entry& e = it->second;
-  auto erase_from = [handle](std::vector<Ref>& v) {
-    v.erase(std::remove_if(v.begin(), v.end(),
-                           [handle](const Ref& r) { return r.handle == handle; }),
-            v.end());
-  };
+  auto erase_from = [handle](std::vector<Handle>& v) { std::erase(v, handle); };
   switch (e.slot) {
     case Slot::kScan:
       erase_from(scan_list_);
@@ -160,66 +156,6 @@ const CompiledFilter* MatchingEngine::compiled(Handle handle) const {
   return it == entries_.end() ? nullptr : &it->second.compiled;
 }
 
-void MatchingEngine::match_indexed(const Publication& pub, std::vector<Handle>& out) const {
-  auto try_candidates = [&](const std::vector<Ref>& candidates) {
-    for (const Ref& r : candidates) {
-      ++t_match_walks;
-      if (r.entry->compiled.matches(pub)) out.push_back(r.handle);
-    }
-  };
-  const auto& keys = pub.attr_keys();
-  for (const Publication::AttrKey& k : keys) {
-    const auto ait = attr_indexes_.find(k.attr);
-    if (ait == attr_indexes_.end()) continue;
-    const AttrIndex& index = ait->second;
-    if (!index.eq.empty()) {
-      const auto kit = index.eq.find(k.key);
-      if (kit != index.eq.end()) try_candidates(kit->second);
-    }
-    if (!index.intervals.empty() && k.key.tag == ValueKey::Tag::kNumber) {
-      // Stab query: every interval with lo <= x is in the sorted prefix.
-      const double x = std::bit_cast<double>(k.key.bits);
-      const auto end = std::upper_bound(
-          index.intervals.begin(), index.intervals.end(), x,
-          [](double v, const Interval& iv) { return v < iv.lo; });
-      for (auto iv = index.intervals.begin(); iv != end; ++iv) {
-        if (iv->hi < x) continue;
-        ++t_match_walks;
-        if (iv->entry->compiled.matches(pub)) out.push_back(iv->handle);
-      }
-    }
-  }
-  try_candidates(scan_list_);
-}
-
-void MatchingEngine::match_into(const Publication& pub, std::vector<Handle>& out) const {
-  if (!index_enabled()) {
-    for (const auto& [h, e] : entries_) {
-      ++t_match_walks;
-      if (e.compiled.matches(pub)) out.push_back(h);
-    }
-    return;
-  }
-  match_indexed(pub, out);
-}
-
-void MatchingEngine::match_among(const Publication& pub,
-                                 const std::vector<Handle>& candidates,
-                                 std::vector<Handle>& out) const {
-  for (const Handle h : candidates) {
-    const auto it = entries_.find(h);
-    if (it == entries_.end()) continue;
-    ++t_match_walks;
-    if (it->second.compiled.matches(pub)) out.push_back(h);
-  }
-}
-
-std::vector<MatchingEngine::Handle> MatchingEngine::match(const Publication& pub) const {
-  std::vector<Handle> out;
-  match_into(pub, out);
-  return out;
-}
-
 MatchingEngine::Snapshot MatchingEngine::build_snapshot() const {
   Snapshot s;
   std::vector<std::pair<Handle, const Entry*>> order;
@@ -230,19 +166,18 @@ MatchingEngine::Snapshot MatchingEngine::build_snapshot() const {
   s.subs.reserve(order.size());
   for (const auto& [h, e] : order) s.subs.push_back(Snapshot::Sub{h, e->compiled});
   const auto dense = [&s](Handle h) { return s.dense_index(h); };
-  // Copy the live index contents (rather than re-derive them from the
-  // filters): bucket membership and interval bounds were chosen by
-  // insertion-time heuristics, and preserving the exact per-bucket order
-  // keeps snapshot probe order — and thus walk counts — identical to the
-  // live engine's.
+  // Copy the index contents (rather than re-derive them from the filters):
+  // bucket membership and interval bounds were chosen by insertion-time
+  // heuristics, and preserving the exact per-bucket order keeps probe order
+  // (and thus walk counts) a function of the table's mutation history alone.
   s.attr_indexes.reserve(attr_indexes_.size());
   for (const auto& [attr, ai] : attr_indexes_) {
     Snapshot::AttrIdx& out = s.attr_indexes[attr];
     out.eq.reserve(ai.eq.size());
-    for (const auto& [key, refs] : ai.eq) {
+    for (const auto& [key, handles] : ai.eq) {
       std::vector<std::uint32_t>& bucket = out.eq[key];
-      bucket.reserve(refs.size());
-      for (const Ref& r : refs) bucket.push_back(dense(r.handle));
+      bucket.reserve(handles.size());
+      for (const Handle h : handles) bucket.push_back(dense(h));
     }
     out.intervals.reserve(ai.intervals.size());
     for (const Interval& iv : ai.intervals) {
@@ -250,7 +185,7 @@ MatchingEngine::Snapshot MatchingEngine::build_snapshot() const {
     }
   }
   s.scan_list.reserve(scan_list_.size());
-  for (const Ref& r : scan_list_) s.scan_list.push_back(dense(r.handle));
+  for (const Handle h : scan_list_) s.scan_list.push_back(dense(h));
   return s;
 }
 
@@ -260,25 +195,20 @@ std::uint32_t MatchingEngine::Snapshot::dense_index(Handle handle) const {
   return static_cast<std::uint32_t>(it - subs.begin());
 }
 
-void MatchingEngine::Snapshot::match_into(const Publication& pub, MatchScratch& scratch,
-                                          std::vector<std::uint32_t>& out,
-                                          CandidateEvaluator* eval) const {
+void MatchingEngine::Snapshot::match_into(const Publication& pub,
+                                          std::vector<std::uint32_t>& out) const {
   if (!MatchingEngine::index_enabled()) {
-    auto pred = [&](std::size_t i) {
+    for (std::size_t i = 0; i < subs.size(); ++i) {
       ++t_match_walks;
-      return subs[i].filter.matches(pub);
-    };
-    for_each_matching(eval, &scratch, subs.size(), pred,
-                      [&](std::size_t i) { out.push_back(static_cast<std::uint32_t>(i)); });
+      if (subs[i].filter.matches(pub)) out.push_back(static_cast<std::uint32_t>(i));
+    }
     return;
   }
   auto probe = [&](const std::vector<std::uint32_t>& cands) {
-    auto pred = [&](std::size_t i) {
+    for (const std::uint32_t c : cands) {
       ++t_match_walks;
-      return subs[cands[i]].filter.matches(pub);
-    };
-    for_each_matching(eval, &scratch, cands.size(), pred,
-                      [&](std::size_t i) { out.push_back(cands[i]); });
+      if (subs[c].filter.matches(pub)) out.push_back(c);
+    }
   };
   const auto& keys = pub.attr_keys();
   for (const Publication::AttrKey& k : keys) {
@@ -295,15 +225,11 @@ void MatchingEngine::Snapshot::match_into(const Publication& pub, MatchScratch& 
       const auto end = std::upper_bound(
           index.intervals.begin(), index.intervals.end(), x,
           [](double v, const Interval& iv) { return v < iv.lo; });
-      const std::size_t prefix = static_cast<std::size_t>(end - index.intervals.begin());
-      auto pred = [&](std::size_t i) {
-        const Interval& iv = index.intervals[i];
-        if (iv.hi < x) return false;
+      for (auto iv = index.intervals.begin(); iv != end; ++iv) {
+        if (iv->hi < x) continue;
         ++t_match_walks;
-        return subs[iv.sub].filter.matches(pub);
-      };
-      for_each_matching(eval, &scratch, prefix, pred,
-                        [&](std::size_t i) { out.push_back(index.intervals[i].sub); });
+        if (subs[iv->sub].filter.matches(pub)) out.push_back(iv->sub);
+      }
     }
   }
   probe(scan_list);

@@ -17,16 +17,14 @@
 // Every probed candidate is confirmed with a full Filter::matches, so the
 // indexes only need to be conservative (never miss a possible match).
 //
-// Concurrency model: the live engine is a single-writer structure — insert,
-// remove and the live match path belong to the owning thread. For
-// concurrent readers, build_snapshot() produces an immutable Snapshot
-// (dense candidate arrays, same probe order and walk counts as the live
-// index) that the routing table publishes behind an epoch handle; snapshot
-// matching touches no mutable engine state at all.
+// Concurrency model: the engine is a single-writer structure — insert and
+// remove belong to the owning thread, and it has no match path of its own.
+// build_snapshot() produces an immutable Snapshot (dense candidate arrays in
+// the indexes' probe order) that the routing table publishes behind an
+// epoch handle; matching reads only snapshots, never mutable engine state.
 #pragma once
 
 #include <cstdint>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -37,70 +35,14 @@
 
 namespace greenps {
 
-// Caller-owned scratch for the allocation-free match paths. Each matching
+// Caller-owned scratch for the allocation-free match path. Each matching
 // thread (simulation shard, test thread) owns one and reuses it across
 // calls; nothing in the engine or routing table retains state between
-// matches, which is what makes the const read paths genuinely data-race
+// matches, which is what makes the const read path genuinely data-race
 // free.
 struct MatchScratch {
-  std::vector<std::uint64_t> handles;  // live-engine match output
-  std::vector<std::uint32_t> dense;    // snapshot-path candidate indices
-  std::vector<std::uint32_t> eval;     // parallel-evaluator output
+  std::vector<std::uint32_t> dense;  // snapshot candidate indices
 };
-
-// Type-erased, non-owning reference to a candidate predicate. Evaluators
-// may invoke it from several threads at once, so the underlying callable
-// must be safe for concurrent calls: immutable captures plus thread_local
-// counters only.
-class CandidatePred {
- public:
-  // Constrained away from CandidatePred itself: without the exclusion,
-  // direct-initializing one CandidatePred from a non-const lvalue of
-  // another prefers this template over the copy constructor and wraps a
-  // *reference to the other wrapper* — dangling as soon as that wrapper
-  // (often a by-value parameter) goes out of scope.
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::remove_cv_t<F>, CandidatePred>>>
-  explicit CandidatePred(F& f)
-      : ctx_(&f),
-        fn_([](void* c, std::size_t i) { return (*static_cast<F*>(c))(i); }) {}
-
-  bool operator()(std::size_t i) const { return fn_(ctx_, i); }
-
- private:
-  void* ctx_;
-  bool (*fn_)(void*, std::size_t);
-};
-
-// Hook for fanning candidate evaluation across threads. evaluate() must
-// append, in ascending order, every index i in [0, n) with pred(i) true —
-// the ascending-order contract is what keeps parallel matching bit-identical
-// to the serial loop. Batches below threshold() stay on the calling thread.
-class CandidateEvaluator {
- public:
-  virtual ~CandidateEvaluator() = default;
-  [[nodiscard]] virtual std::size_t threshold() const = 0;
-  virtual void evaluate(std::size_t n, CandidatePred pred,
-                        std::vector<std::uint32_t>& out) = 0;
-};
-
-// Runs `pred` over [0, n) and calls emit(i) for every true candidate, in
-// ascending i. Small batches (or no evaluator) take the serial tight loop;
-// large ones fan out through the evaluator via `scratch->eval`.
-template <typename Pred, typename Emit>
-void for_each_matching(CandidateEvaluator* eval, MatchScratch* scratch,
-                       std::size_t n, Pred&& pred, Emit&& emit) {
-  if (eval == nullptr || scratch == nullptr || n < eval->threshold()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (pred(i)) emit(i);
-    }
-    return;
-  }
-  scratch->eval.clear();
-  eval->evaluate(n, CandidatePred(pred), scratch->eval);
-  for (const std::uint32_t i : scratch->eval) emit(i);
-}
 
 class MatchingEngine {
  public:
@@ -115,20 +57,10 @@ class MatchingEngine {
   // Remove a previously inserted filter. Unknown handles are ignored.
   void remove(Handle handle);
 
-  // Handles of all filters matching `pub` (unordered).
-  [[nodiscard]] std::vector<Handle> match(const Publication& pub) const;
-  // Allocation-free variant: appends matches to `out` (not cleared).
-  void match_into(const Publication& pub, std::vector<Handle>& out) const;
-  // Restricted variant: considers only `candidates` (each must be a live
-  // handle or is skipped). Used by advertisement-scoped pruning.
-  void match_among(const Publication& pub, const std::vector<Handle>& candidates,
-                   std::vector<Handle>& out) const;
-
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] const Filter* find(Handle handle) const;
   // Pre-resolved form of a live filter. The pointer stays valid until the
-  // handle is removed (entries live in node-based storage); callers cache it
-  // to evaluate candidates without re-resolving attribute names.
+  // handle is removed (entries live in node-based storage).
   [[nodiscard]] const CompiledFilter* compiled(Handle handle) const;
 
   // Visit every live (handle, compiled filter) pair.
@@ -140,8 +72,8 @@ class MatchingEngine {
   // Immutable, self-contained copy of the typed indexes with candidates as
   // dense indices into `subs` (ascending handle order). Matching a snapshot
   // touches only the snapshot itself plus thread_local counters, so any
-  // number of threads can match one concurrently; probe order and walk
-  // counts are identical to the live engine's.
+  // number of threads can match one concurrently. Candidates are probed in
+  // the indexes' insertion order, so walk counts depend only on the table.
   struct Snapshot {
     struct Sub {
       Handle handle;
@@ -165,20 +97,17 @@ class MatchingEngine {
     [[nodiscard]] std::uint32_t dense_index(Handle handle) const;
 
     // Appends the dense indices of all matching subs to `out` (not
-    // cleared). Passing an evaluator fans large candidate batches across
-    // threads; the result is bit-identical either way.
-    void match_into(const Publication& pub, MatchScratch& scratch,
-                    std::vector<std::uint32_t>& out,
-                    CandidateEvaluator* eval = nullptr) const;
+    // cleared).
+    void match_into(const Publication& pub, std::vector<std::uint32_t>& out) const;
   };
 
   [[nodiscard]] Snapshot build_snapshot() const;
 
   // Number of candidate filters evaluated (Filter::matches calls) by the
   // calling thread. Test/bench hook for the index-pruning invariant,
-  // mirroring SubscriptionProfile::pairwise_walks(). With parallel
-  // candidate evaluation, each evaluating thread accrues its own walks; the
-  // simulator harvests them per worker slot so totals stay invariant.
+  // mirroring SubscriptionProfile::pairwise_walks(). In sharded runs each
+  // worker thread accrues its own walks; the simulator harvests them per
+  // worker slot so totals stay invariant.
   [[nodiscard]] static std::size_t match_walks();
   static void reset_match_walks();
   // Credit `n` candidate evaluations done outside the engine (the routing
@@ -204,20 +133,10 @@ class MatchingEngine {
     ValueKey eq_key;  // valid when slot == kEq
   };
 
-  // Index payload: the handle plus a pointer straight to its entry, so a
-  // probe evaluates candidates without a hash lookup per candidate. Entry
-  // pointers are stable (unordered_map nodes) until removal, which erases
-  // the Ref from every index vector.
-  struct Ref {
-    Handle handle;
-    const Entry* entry;
-  };
-
   struct Interval {
     double lo;  // conservative, inclusive bounds
     double hi;
     Handle handle;
-    const Entry* entry;
 
     friend bool operator<(const Interval& a, const Interval& b) {
       return a.lo != b.lo ? a.lo < b.lo : (a.hi != b.hi ? a.hi < b.hi : a.handle < b.handle);
@@ -225,19 +144,18 @@ class MatchingEngine {
   };
 
   struct AttrIndex {
-    std::unordered_map<ValueKey, std::vector<Ref>, ValueKeyHash> eq;
+    std::unordered_map<ValueKey, std::vector<Handle>, ValueKeyHash> eq;
     std::vector<Interval> intervals;  // sorted
   };
 
   // Selectivity heuristic: prefer bucketing under the equality attribute
   // with the most distinct values observed so far.
   [[nodiscard]] const CompiledFilter::EqKey* pick_eq_predicate(const CompiledFilter& f) const;
-  void match_indexed(const Publication& pub, std::vector<Handle>& out) const;
 
   std::unordered_map<Handle, Entry> entries_;
   std::unordered_map<InternId, AttrIndex> attr_indexes_;
   // Filters without any equality or numeric range predicate; always probed.
-  std::vector<Ref> scan_list_;
+  std::vector<Handle> scan_list_;
 };
 
 }  // namespace greenps

@@ -6,7 +6,7 @@
 
 namespace greenps {
 
-void SpinBarrier::arrive_and_wait(const std::function<bool()>* idle_poll) {
+void SpinBarrier::arrive_and_wait() {
   const std::uint64_t phase = phase_.load(std::memory_order_acquire);
   if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
     arrived_.store(0, std::memory_order_relaxed);
@@ -16,14 +16,9 @@ void SpinBarrier::arrive_and_wait(const std::function<bool()>* idle_poll) {
   // Bounded spin covers the common case (all parties a few hundred ns from
   // the barrier); past it, yield the slice — with more shards than cores a
   // pure spin would burn a whole scheduler quantum per crossing waiting for
-  // a party that cannot run. A successful idle poll (donated matching work)
-  // resets the spin budget: a thread doing real work should not yield.
+  // a party that cannot run.
   int spins = 0;
   while (phase_.load(std::memory_order_acquire) == phase) {
-    if (idle_poll != nullptr && *idle_poll && (*idle_poll)()) {
-      spins = 0;
-      continue;
-    }
     if (++spins >= 1024) std::this_thread::yield();
   }
 }
@@ -52,13 +47,12 @@ void ShardedEventLoop::post(std::size_t src, std::size_t dst, SimTime time, Even
 }
 
 void ShardedEventLoop::run_windows(SimTime end, SimTime lookahead, std::size_t slot,
-                                   SpinBarrier& barrier,
-                                   const std::function<bool()>* idle_poll) {
+                                   SpinBarrier& barrier) {
   const std::size_t n = shards_.size();
   EventQueue& q = shards_[slot].queue;
   while (true) {
     next_times_[slot] = q.next_time();
-    barrier.arrive_and_wait(idle_poll);
+    barrier.arrive_and_wait();
     // Every slot computes the same minimum from the same snapshot, so all
     // slots agree on the window — and on when to stop — without a leader.
     SimTime tmin = next_times_[0];
@@ -67,9 +61,7 @@ void ShardedEventLoop::run_windows(SimTime end, SimTime lookahead, std::size_t s
     // end + 1: the final window is inclusive of `end`, matching run_until.
     const SimTime horizon = std::min(tmin + lookahead, end + 1);
     q.run_before(horizon);
-    // The drain barrier is the donation window: shards that finished their
-    // drain early poll the help queue here while hot shards keep matching.
-    barrier.arrive_and_wait(idle_poll);
+    barrier.arrive_and_wait();
     // All posts for this window are in the lanes; merge the ones addressed
     // to this shard. The lookahead contract puts them at/after `horizon`,
     // so next_time() stays a valid window anchor.
@@ -78,7 +70,7 @@ void ShardedEventLoop::run_windows(SimTime end, SimTime lookahead, std::size_t s
       for (Posted& p : lane) q.schedule_keyed(p.time, p.key, std::move(p.action));
       lane.clear();
     }
-    barrier.arrive_and_wait(idle_poll);
+    barrier.arrive_and_wait();
   }
   // No event at or before `end` remains anywhere; settle the clock (and the
   // per-thread obs sim time) exactly like a serial run.
@@ -87,8 +79,7 @@ void ShardedEventLoop::run_windows(SimTime end, SimTime lookahead, std::size_t s
 
 void ShardedEventLoop::run(SimTime end, SimTime lookahead, ThreadPool* pool,
                            const std::function<void(std::size_t)>& on_slot_begin,
-                           const std::function<void(std::size_t)>& on_slot_end,
-                           const std::function<bool()>& idle_poll) {
+                           const std::function<void(std::size_t)>& on_slot_end) {
   if (shards_.size() == 1) {
     if (on_slot_begin) on_slot_begin(0);
     shards_[0].queue.run_until(end);
@@ -98,10 +89,9 @@ void ShardedEventLoop::run(SimTime end, SimTime lookahead, ThreadPool* pool,
   assert(lookahead > 0);
   assert(pool != nullptr && pool->size() >= shards_.size());
   SpinBarrier barrier(shards_.size());
-  const std::function<bool()>* poll = idle_poll ? &idle_poll : nullptr;
   pool->run_slots(shards_.size(), [&](std::size_t slot) {
     if (on_slot_begin) on_slot_begin(slot);
-    run_windows(end, lookahead, slot, barrier, poll);
+    run_windows(end, lookahead, slot, barrier);
     if (on_slot_end) on_slot_end(slot);
   });
 }

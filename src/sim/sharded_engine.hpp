@@ -36,12 +36,7 @@ class SpinBarrier {
  public:
   explicit SpinBarrier(std::size_t parties) : parties_(parties) {}
 
-  // `idle_poll` (optional): invoked while spinning; return true if it did
-  // useful work, which resets the spin budget. The simulator points it at
-  // the match-help queue so shards waiting at a window barrier donate their
-  // idle cycles to hot brokers' candidate evaluation instead of burning
-  // them.
-  void arrive_and_wait(const std::function<bool()>* idle_poll = nullptr);
+  void arrive_and_wait();
 
  private:
   const std::size_t parties_;
@@ -76,13 +71,10 @@ class ShardedEventLoop {
   // the next run. With more than one shard, `lookahead` must be > 0 and
   // `pool` must provide at least shard_count() threads. `on_slot_begin` /
   // `on_slot_end` (optional) run on each shard's thread around its drain —
-  // the simulator uses them to harvest thread-local counters. `idle_poll`
-  // (optional) runs on shard threads spinning at the window barriers — the
-  // work-donation hook (see SpinBarrier::arrive_and_wait).
+  // the simulator uses them to harvest thread-local counters.
   void run(SimTime end, SimTime lookahead, ThreadPool* pool,
            const std::function<void(std::size_t)>& on_slot_begin = {},
-           const std::function<void(std::size_t)>& on_slot_end = {},
-           const std::function<bool()>& idle_poll = {});
+           const std::function<void(std::size_t)>& on_slot_end = {});
 
  private:
   struct Posted {
@@ -100,8 +92,7 @@ class ShardedEventLoop {
     std::vector<std::vector<Posted>> out;
   };
 
-  void run_windows(SimTime end, SimTime lookahead, std::size_t slot, SpinBarrier& barrier,
-                   const std::function<bool()>* idle_poll);
+  void run_windows(SimTime end, SimTime lookahead, std::size_t slot, SpinBarrier& barrier);
 
   std::vector<Shard> shards_;
   std::vector<SimTime> next_times_;  // window negotiation, one slot per shard

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <limits>
 
-#include "broker/parallel_match.hpp"
 #include "common/logging.hpp"
 #include "matching/matching_engine.hpp"
 #include "matching/relations.hpp"
@@ -56,21 +55,11 @@ std::size_t SimOptions::resolve_workers(std::size_t requested) {
   return 1;
 }
 
-std::size_t SimOptions::resolve_match_threshold(std::size_t requested) {
-  if (requested > 0) return requested;
-  if (const char* v = std::getenv("GREENPS_MATCH_THRESHOLD"); v != nullptr && *v != '\0') {
-    const long n = std::strtol(v, nullptr, 10);
-    if (n > 0) return static_cast<std::size_t>(n);
-  }
-  return ~std::size_t{0};  // disabled
-}
-
 Simulation::Simulation(Deployment deployment, StockQuoteGenerator quotes, NetworkConfig net,
                        SimOptions opts)
     : quotes_(std::move(quotes)),
       net_(net),
-      workers_(SimOptions::resolve_workers(opts.workers)),
-      match_threshold_(SimOptions::resolve_match_threshold(opts.match_threshold)) {
+      workers_(SimOptions::resolve_workers(opts.workers)) {
   redeploy(std::move(deployment));
 }
 
@@ -130,25 +119,6 @@ void Simulation::redeploy(Deployment deployment) {
   for (std::size_t s = 0; s < num_shards; ++s) {
     shards_.push_back(std::make_unique<Shard>());
     shards_[s]->index = s;
-  }
-  if (match_threshold_ != ~std::size_t{0}) {
-    if (num_shards > 1) {
-      // Sharded run: the shard pool is busy driving the event loop, so hot
-      // shards publish batches into their slot of the help-queue request
-      // ring and idle shards donate barrier wait time (SpinBarrier idle
-      // poll). One slot per shard lets several hot brokers fan out in the
-      // same lookahead window; no workers exist yet, so resizing is safe.
-      help_queue_->configure_slots(num_shards);
-      for (auto& sh : shards_) {
-        sh->evaluator =
-            std::make_unique<HelpQueueEvaluator>(*help_queue_, match_threshold_, sh->index);
-      }
-    } else {
-      // Single-shard run: fan out across a dedicated matching pool.
-      if (match_pool_ == nullptr) match_pool_ = std::make_unique<ThreadPool>(0);
-      shards_[0]->evaluator =
-          std::make_unique<PoolCandidateEvaluator>(*match_pool_, match_threshold_);
-    }
   }
   metrics_.reset();
   measured_s_ = 0;
@@ -233,10 +203,11 @@ void Simulation::install_routing() {
   const std::size_t num_pubs = deployment_.publishers.size();
   constexpr auto kUnseen = ~std::uint32_t{0};
 
-  // Advertisement flooding: every broker learns each advertisement and the
-  // direction (last hop) toward its publisher. toward[p][b] is the dense
-  // ordinal of b's neighbor toward publisher p's home (the home maps to
-  // itself).
+  // Advertisement flooding: every broker learns each advertisement, and the
+  // flood's BFS tree records the direction (last hop) toward its publisher:
+  // toward[p][b] is the dense ordinal of b's neighbor toward publisher p's
+  // home (the home maps to itself). These trees are the advertisement
+  // routing state; subscription propagation below walks them.
   std::vector<std::vector<std::uint32_t>> toward(num_pubs);
   std::vector<CompiledFilter> adv_filters;
   adv_filters.reserve(num_pubs);
@@ -260,16 +231,11 @@ void Simulation::install_routing() {
           }
         }
       }
-      const Advertisement adv(pub.adv, pub.adv_filter);
       adv_filters.emplace_back(pub.adv_filter);
       for (const std::uint32_t b : frontier) {
-        Broker& br = *by_ord[b]->broker;
-        const Hop hop = b == root ? Hop::to_client(pub.client)
-                                  : Hop::to_broker(by_ord[parent[b]]->broker->id());
-        br.prt().insert(adv, hop);
-        // Announce to the SRT as well: it scopes matching to the candidate
+        // Announce to the SRT: it scopes matching to the candidate
         // subscriptions intersecting this advertisement.
-        br.srt().register_advertisement(pub.adv, adv_filters.back());
+        by_ord[b]->broker->srt().register_advertisement(pub.adv, adv_filters.back());
       }
       broker(pub.home).cbc().register_publisher(pub.client, pub.adv);
     }
@@ -318,10 +284,9 @@ void Simulation::install_routing() {
     }
   }
 
-  // Publish immutable routing snapshots: the hot path routes through them
-  // (same match sets and walk counts as the live tables), and parallel
-  // matching helpers and concurrent readers require them. Tables mutated
-  // after this point fall back to the live path until re-published.
+  // Publish immutable routing snapshots: matching reads only published
+  // state, so the tables installed above become visible here, in one step
+  // per broker.
   std::size_t entries = 0;
   {
     GREENPS_SPAN("sim.install_routing.publish");
@@ -423,7 +388,7 @@ void Simulation::arrive_at_broker(BrokerSlot& slot, std::shared_ptr<const Public
   // evaluating at matched_at and avoids copying the tables into the closure.
   // The scratch result is consumed before this function returns (the
   // scheduled closures don't reference it), so reuse across arrivals is safe.
-  br.route_into(*pub, exclude, sh.route_scratch, sh.match_scratch, sh.evaluator.get());
+  br.route_into(*pub, exclude, sh.route_scratch, sh.match_scratch);
   const auto& decision = sh.route_scratch;
 
   const MsgSize size = pub->size_kb();
@@ -851,14 +816,6 @@ void Simulation::run(double duration_s) {
       loop_.run(end, 0, nullptr);
     } else {
       ensure_pool();
-      // Work donation: shards spinning at window barriers run chunks of any
-      // hot broker's published candidate batch. Helpers' match walks land
-      // in their own slot's thread_local counter and are harvested below,
-      // so totals stay invariant across donation patterns.
-      std::function<bool()> idle_poll;
-      if (match_threshold_ != ~std::size_t{0}) {
-        idle_poll = [q = help_queue_.get()] { return q->help(); };
-      }
       // Match-walk counters are thread_local; harvest each worker slot's
       // delta and fold it into the caller's counter after the join.
       loop_.run(
@@ -866,8 +823,7 @@ void Simulation::run(double duration_s) {
           [this](std::size_t s) { shards_[s]->walk_base = MatchingEngine::match_walks(); },
           [this](std::size_t s) {
             shards_[s]->walk_delta = MatchingEngine::match_walks() - shards_[s]->walk_base;
-          },
-          idle_poll);
+          });
       for (std::size_t s = 1; s < shards_.size(); ++s) {
         MatchingEngine::add_match_walks(shards_[s]->walk_delta);
       }

@@ -33,7 +33,6 @@
 #include "sim/faults.hpp"
 #include "sim/metrics.hpp"
 #include "sim/network.hpp"
-#include "sim/match_help.hpp"
 #include "sim/publication_pool.hpp"
 #include "sim/sharded_engine.hpp"
 #include "workload/stock_quote.hpp"
@@ -74,15 +73,7 @@ struct SimOptions {
   // symbol or advertisement stream); results are identical either way.
   std::size_t workers = 0;
 
-  // Parallel intra-broker matching: candidate batches at or above this size
-  // fan out across threads — idle shard workers donated at the lookahead
-  // barrier (sharded runs) or a dedicated pool (single-shard runs). 0
-  // resolves GREENPS_MATCH_THRESHOLD from the environment, defaulting to
-  // SIZE_MAX (disabled). Results are bit-identical for any setting.
-  std::size_t match_threshold = 0;
-
   [[nodiscard]] static std::size_t resolve_workers(std::size_t requested);
-  [[nodiscard]] static std::size_t resolve_match_threshold(std::size_t requested);
 };
 
 class Simulation {
@@ -279,10 +270,6 @@ class Simulation {
     FaultState faults;
     SubscriptionRoutingTable::MatchResult route_scratch;
     MatchScratch match_scratch;
-    // Candidate evaluator for parallel intra-broker matching (null when
-    // disabled): a HelpQueueEvaluator over the simulation's help queue in
-    // sharded runs, a PoolCandidateEvaluator in single-shard runs.
-    std::unique_ptr<CandidateEvaluator> evaluator;
     PublicationPool pub_pool;
     std::vector<PublishRecord> ledger;
     std::unordered_map<BrokerId, std::vector<BufferedArrival>> retransmit;
@@ -352,15 +339,6 @@ class Simulation {
   StockQuoteGenerator quotes_;
   NetworkConfig net_;
   std::size_t workers_ = 1;  // resolved request; per-epoch count may be lower
-  // Resolved parallel-matching threshold (SIZE_MAX = disabled).
-  std::size_t match_threshold_ = ~std::size_t{0};
-  // unique_ptr: keeps Simulation movable (atomics inside) and the address
-  // stable for the per-shard evaluators referencing it.
-  std::unique_ptr<MatchHelpQueue> help_queue_ = std::make_unique<MatchHelpQueue>();
-  // Dedicated matching pool for single-shard runs with a threshold set
-  // (created lazily; the shard pool is busy driving the event loop during
-  // sharded runs, so those donate barrier idle time instead).
-  std::unique_ptr<ThreadPool> match_pool_;
   ShardedEventLoop loop_;
   // unique_ptr keeps Shard addresses stable across vector moves — scheduled
   // closures and BrokerSlots hold raw Shard pointers.

@@ -20,6 +20,7 @@ TEST(SubscriptionRoutingTable, ForwardsToUniqueNeighbors) {
   srt.insert(SubId{1}, parse_filter("[symbol,=,'YHOO']"), Hop::to_broker(BrokerId{2}));
   srt.insert(SubId{2}, parse_filter("[class,=,'STOCK']"), Hop::to_broker(BrokerId{2}));
   srt.insert(SubId{3}, parse_filter("[symbol,=,'YHOO']"), Hop::to_broker(BrokerId{3}));
+  srt.publish();
   const auto r = srt.match(yhoo_pub());
   // Two matching subs point at broker 2 -> one copy; broker 3 -> one copy.
   EXPECT_EQ(r.forward_to, (std::vector<BrokerId>{BrokerId{2}, BrokerId{3}}));
@@ -30,6 +31,7 @@ TEST(SubscriptionRoutingTable, DeliversToLocalClients) {
   SubscriptionRoutingTable srt;
   srt.insert(SubId{1}, parse_filter("[symbol,=,'YHOO']"), Hop::to_client(ClientId{7}));
   srt.insert(SubId{2}, parse_filter("[symbol,=,'GOOG']"), Hop::to_client(ClientId{8}));
+  srt.publish();
   const auto r = srt.match(yhoo_pub());
   ASSERT_EQ(r.deliver.size(), 1u);
   EXPECT_EQ(r.deliver[0].first, SubId{1});
@@ -39,6 +41,7 @@ TEST(SubscriptionRoutingTable, DeliversToLocalClients) {
 TEST(SubscriptionRoutingTable, ExcludesIncomingLink) {
   SubscriptionRoutingTable srt;
   srt.insert(SubId{1}, parse_filter("[symbol,=,'YHOO']"), Hop::to_broker(BrokerId{2}));
+  srt.publish();
   const BrokerId from{2};
   const auto r = srt.match(yhoo_pub(), &from);
   EXPECT_TRUE(r.forward_to.empty());
@@ -49,22 +52,45 @@ TEST(SubscriptionRoutingTable, InsertReplacesAndRemoveDeletes) {
   srt.insert(SubId{1}, parse_filter("[symbol,=,'YHOO']"), Hop::to_broker(BrokerId{2}));
   srt.insert(SubId{1}, parse_filter("[symbol,=,'YHOO']"), Hop::to_broker(BrokerId{5}));
   EXPECT_EQ(srt.filter_count(), 1u);
+  srt.publish();
   auto r = srt.match(yhoo_pub());
   EXPECT_EQ(r.forward_to, (std::vector<BrokerId>{BrokerId{5}}));
   srt.remove(SubId{1});
   EXPECT_EQ(srt.filter_count(), 0u);
+  srt.publish();
   EXPECT_TRUE(srt.match(yhoo_pub()).forward_to.empty());
 }
 
-TEST(AdvertisementRoutingTable, DirectionsForIntersectingAdvs) {
-  AdvertisementRoutingTable prt;
-  prt.insert(Advertisement(AdvId{1}, parse_filter("[class,=,'STOCK'],[symbol,=,'YHOO']")),
-             Hop::to_broker(BrokerId{1}));
-  prt.insert(Advertisement(AdvId{2}, parse_filter("[class,=,'STOCK'],[symbol,=,'GOOG']")),
-             Hop::to_broker(BrokerId{2}));
-  const auto dirs = prt.directions_for(parse_filter("[class,=,'STOCK'],[symbol,=,'YHOO']"));
-  ASSERT_EQ(dirs.size(), 1u);
-  EXPECT_EQ(dirs[0].broker, BrokerId{1});
+// Matching reads only the latest published snapshot: a table never
+// published matches nothing, and a mutation after publish() stays invisible
+// until the next publish().
+TEST(SubscriptionRoutingTable, MatchSeesOnlyPublishedState) {
+  SubscriptionRoutingTable srt;
+  srt.insert(SubId{1}, parse_filter("[symbol,=,'YHOO']"), Hop::to_client(ClientId{7}));
+  SubscriptionRoutingTable::MatchResult r;
+  MatchScratch scratch;
+  EXPECT_EQ(srt.match_into(yhoo_pub(), nullptr, r, scratch), 0u);
+  EXPECT_TRUE(r.deliver.empty());
+  EXPECT_EQ(srt.published_version(), 0u);
+
+  srt.publish();
+  const std::uint64_t v1 = srt.published_version();
+  EXPECT_NE(v1, 0u);
+  EXPECT_EQ(srt.match_into(yhoo_pub(), nullptr, r, scratch), v1);
+  EXPECT_EQ(r.deliver.size(), 1u);
+
+  srt.insert(SubId{2}, parse_filter("[class,=,'STOCK']"), Hop::to_broker(BrokerId{3}));
+  srt.remove(SubId{1});
+  EXPECT_EQ(srt.match_into(yhoo_pub(), nullptr, r, scratch), v1);
+  EXPECT_EQ(r.deliver, (std::vector<std::pair<SubId, ClientId>>{{SubId{1}, ClientId{7}}}));
+  EXPECT_TRUE(r.forward_to.empty());
+
+  srt.publish();
+  const std::uint64_t v2 = srt.published_version();
+  EXPECT_GT(v2, v1);
+  EXPECT_EQ(srt.match_into(yhoo_pub(), nullptr, r, scratch), v2);
+  EXPECT_TRUE(r.deliver.empty());
+  EXPECT_EQ(r.forward_to, (std::vector<BrokerId>{BrokerId{3}}));
 }
 
 TEST(BandwidthLimiter, SerializesTransmissions) {

@@ -1,10 +1,8 @@
 // Concurrency suite for the epoch-guarded broker core: epoch reclamation
 // (grace periods, torture), the lock-free published-snapshot match path
-// against a single-threaded oracle under concurrent registration churn,
-// parallel candidate evaluation (thread pool + help queue) determinism, the
-// concurrent interner, and SimSummary invariance across the parallel-match
-// threshold. Every test asserts *exact* equality — the concurrent machinery
-// must be invisible to observable behavior.
+// against a single-threaded oracle under concurrent registration churn, and
+// the concurrent interner. Every test asserts *exact* equality — the
+// concurrent machinery must be invisible to observable behavior.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,15 +14,11 @@
 #include <utility>
 #include <vector>
 
-#include "broker/parallel_match.hpp"
 #include "broker/routing_tables.hpp"
 #include "common/epoch.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "language/interner.hpp"
 #include "language/parser.hpp"
-#include "sim/match_help.hpp"
-#include "sim/simulation.hpp"
 
 namespace greenps {
 namespace {
@@ -172,14 +166,14 @@ std::vector<Publication> probe_publications() {
   return pubs;
 }
 
-// Readers hammer match_published() while the owner churns registrations and
+// Readers hammer match_into() while the owner churns registrations and
 // re-publishes. Every reader result is compared — exactly — against what a
 // single-threaded oracle table produced for the same snapshot version.
 TEST(ConcurrentMatching, PublishedMatchAgreesWithOracleUnderChurn) {
   const char* symbols[] = {"AAA", "BBB", "CCC", "DDD"};
   for (const std::uint64_t seed : {11u, 29u, 71u}) {
     SubscriptionRoutingTable table;
-    SubscriptionRoutingTable oracle;  // mutated in lockstep, read only by owner
+    SubscriptionRoutingTable oracle;  // mutated in lockstep, used only by owner
     const std::vector<Publication> pubs = probe_publications();
 
     // oracle_results[version][pub index], filled by the owner right after
@@ -205,7 +199,7 @@ TEST(ConcurrentMatching, PublishedMatchAgreesWithOracleUnderChurn) {
           const std::size_t pi = rng.index(pubs.size());
           Observation obs;
           obs.pub = pi;
-          obs.version = table.match_published(pubs[pi], nullptr, obs.result, scratch);
+          obs.version = table.match_into(pubs[pi], nullptr, obs.result, scratch);
           if (obs.version != 0) {
             observed[r].push_back(std::move(obs));
             observations.fetch_add(1, std::memory_order_relaxed);
@@ -236,12 +230,11 @@ TEST(ConcurrentMatching, PublishedMatchAgreesWithOracleUnderChurn) {
         installed.push_back(id);
       }
       table.publish();
+      oracle.publish();
       const std::uint64_t v = table.published_version();
       std::vector<MatchResult> expected(pubs.size());
       for (std::size_t pi = 0; pi < pubs.size(); ++pi) {
-        // The oracle is never published: match_into routes through its live
-        // single-threaded path.
-        oracle.match_into(pubs[pi], nullptr, expected[pi]);
+        expected[pi] = oracle.match(pubs[pi]);
       }
       oracle_results.emplace(v, std::move(expected));
       // On a single core the owner would otherwise finish every step before
@@ -270,9 +263,10 @@ TEST(ConcurrentMatching, PublishedMatchAgreesWithOracleUnderChurn) {
   }
 }
 
-// The published-snapshot path must agree with the live path for the same
-// table state, across both process-wide fast-path toggles.
-TEST(ConcurrentMatching, SnapshotAgreesWithLiveAcrossToggles) {
+// The published snapshot must return exactly the brute-force
+// Filter::matches decision for the same table state, under all four
+// combinations of the process-wide fast-path toggles.
+TEST(ConcurrentMatching, SnapshotAgreesWithOracleAcrossToggles) {
   struct ToggleGuard {
     bool index = MatchingEngine::index_enabled();
     bool pruning = SubscriptionRoutingTable::adv_pruning_enabled();
@@ -288,150 +282,32 @@ TEST(ConcurrentMatching, SnapshotAgreesWithLiveAcrossToggles) {
       MatchingEngine::set_index_enabled(index_on);
       SubscriptionRoutingTable::set_adv_pruning_enabled(pruning_on);
 
-      SubscriptionRoutingTable published;
-      SubscriptionRoutingTable live;
+      SubscriptionRoutingTable table;
+      std::vector<Filter> filters;
       Rng rng(42);
       for (std::uint64_t i = 0; i < 64; ++i) {
         std::string f = "[symbol,=,'" + std::string(symbols[rng.index(4)]) + "']";
         if (rng.chance(0.4)) f += ",[volume,>,400000]";
-        const Hop hop = Hop::to_client(ClientId{i});
-        published.insert(SubId{i}, parse_filter(f), hop);
-        live.insert(SubId{i}, parse_filter(f), hop);
+        filters.push_back(parse_filter(f));
+        table.insert(SubId{i}, filters.back(), Hop::to_client(ClientId{i}));
       }
-      published.register_advertisement(AdvId{0}, symbol_filter("AAA"));
-      live.register_advertisement(AdvId{0}, symbol_filter("AAA"));
-      published.publish();
+      table.register_advertisement(AdvId{0}, symbol_filter("AAA"));
+      table.publish();
 
       MatchScratch scratch;
-      for (const Publication& pub : probe_publications()) {
-        MatchResult from_snapshot, from_live;
-        const std::uint64_t v =
-            published.match_published(pub, nullptr, from_snapshot, scratch);
-        ASSERT_NE(v, 0u);
-        live.match_into(pub, nullptr, from_live);
-        EXPECT_TRUE(results_equal(from_snapshot, from_live))
+      for (Publication pub : probe_publications()) {
+        pub.set_header(AdvId{0}, 1);  // conforming only for AAA
+        MatchResult expected;
+        for (std::uint64_t i = 0; i < filters.size(); ++i) {
+          if (filters[i].matches(pub)) expected.deliver.emplace_back(SubId{i}, ClientId{i});
+        }
+        MatchResult got;
+        ASSERT_NE(table.match_into(pub, nullptr, got, scratch), 0u);
+        EXPECT_TRUE(results_equal(got, expected))
             << "index=" << index_on << " pruning=" << pruning_on;
       }
     }
   }
-}
-
-// --- parallel candidate evaluation --------------------------------------
-
-// A published table large enough to cross the fan-out threshold: the pool
-// evaluator must produce the identical MatchResult at every thread count,
-// including chunk boundaries (chunk size 16 against 500 candidates).
-TEST(ParallelMatchEval, PoolEvaluatorIsBitIdenticalAcrossThreadCounts) {
-  SubscriptionRoutingTable table;
-  Rng rng(5);
-  const char* symbols[] = {"AAA", "BBB"};
-  for (std::uint64_t i = 0; i < 500; ++i) {
-    std::string f = "[symbol,=,'" + std::string(symbols[rng.index(2)]) + "']";
-    if (rng.chance(0.5)) f += ",[volume,>," + std::to_string(rng.index(900000)) + "]";
-    table.insert(SubId{i}, parse_filter(f), Hop::to_client(ClientId{i}));
-  }
-  table.publish();
-
-  Publication pub;
-  pub.set_attr("symbol", Value(std::string("AAA")));
-  pub.set_attr("volume", Value(std::int64_t{750000}));
-
-  MatchScratch scratch;
-  MatchResult serial;
-  ASSERT_NE(table.match_published(pub, nullptr, serial, scratch), 0u);
-  ASSERT_FALSE(serial.deliver.empty());
-
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    ThreadPool pool(threads);
-    PoolCandidateEvaluator eval(pool, /*threshold=*/1, /*chunk=*/16);
-    MatchResult parallel;
-    ASSERT_NE(table.match_published(pub, nullptr, parallel, scratch, &eval), 0u);
-    EXPECT_TRUE(results_equal(parallel, serial)) << threads << " threads";
-  }
-}
-
-// The help queue with helpers hammering help() concurrently must emit the
-// same ascending hit list as the serial loop, for every request shape.
-TEST(ParallelMatchEval, HelpQueueAgreesWithSerialUnderConcurrentHelpers) {
-  MatchHelpQueue queue(/*chunk=*/8);
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> helpers;
-  for (int h = 0; h < 3; ++h) {
-    helpers.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        if (!queue.help()) std::this_thread::yield();
-      }
-    });
-  }
-
-  // Predicate over an immutable vector — the same shape as a snapshot
-  // candidate scan. Repeat many times so helpers actually interleave.
-  Rng rng(77);
-  for (int round = 0; round < 300; ++round) {
-    const std::size_t n = 1 + rng.index(400);
-    std::vector<std::uint8_t> keep(n);
-    for (std::size_t i = 0; i < n; ++i) keep[i] = rng.chance(0.4) ? 1 : 0;
-    auto pred = [&keep](std::size_t i) { return keep[i] != 0; };
-
-    std::vector<std::uint32_t> expected;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (keep[i]) expected.push_back(static_cast<std::uint32_t>(i));
-    }
-    std::vector<std::uint32_t> got;
-    queue.evaluate(n, CandidatePred(pred), got);
-    ASSERT_EQ(got, expected) << "round " << round;
-  }
-  stop.store(true);
-  for (std::thread& t : helpers) t.join();
-}
-
-// Several hot shards fanning out in the same lookahead window: one owner
-// per ring slot, all evaluating concurrently while shared helpers hammer
-// help() and steal chunks from whichever slot has work. Every owner must
-// still see exactly the serial hit list for its own request — chunk merge
-// order is per-slot, never cross-slot.
-TEST(ParallelMatchEval, MultiSlotOwnersConcurrentWithHelpers) {
-  constexpr std::size_t kOwners = 4;
-  MatchHelpQueue queue(/*chunk=*/8, /*slots=*/kOwners);
-  ASSERT_EQ(queue.slot_count(), kOwners);
-
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> helpers;
-  for (int h = 0; h < 2; ++h) {
-    helpers.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        if (!queue.help()) std::this_thread::yield();
-      }
-    });
-  }
-
-  std::atomic<std::size_t> mismatches{0};
-  std::vector<std::thread> owners;
-  for (std::size_t slot = 0; slot < kOwners; ++slot) {
-    owners.emplace_back([&, slot] {
-      Rng rng(1000 + slot);
-      for (int round = 0; round < 200; ++round) {
-        const std::size_t n = 1 + rng.index(300);
-        std::vector<std::uint8_t> keep(n);
-        for (std::size_t i = 0; i < n; ++i) keep[i] = rng.chance(0.35) ? 1 : 0;
-        std::vector<std::uint32_t> expected;
-        for (std::size_t i = 0; i < n; ++i) {
-          if (keep[i]) expected.push_back(static_cast<std::uint32_t>(i));
-        }
-        auto pred = [&keep](std::size_t i) { return keep[i] != 0; };
-        std::vector<std::uint32_t> got;
-        queue.evaluate(slot, n, CandidatePred(pred), got);
-        if (got != expected) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
-      }
-    });
-  }
-  for (std::thread& t : owners) t.join();
-  stop.store(true);
-  for (std::thread& t : helpers) t.join();
-  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 // --- concurrent interner ------------------------------------------------
@@ -467,91 +343,6 @@ TEST(InternerTorture, ConcurrentInterningIsConsistent) {
     EXPECT_EQ(interner.find("attr_" + std::to_string(s)), id);
   }
   EXPECT_EQ(interner.find("never_interned"), kNoIntern);
-}
-
-// --- SimSummary invariance across the parallel-match threshold ----------
-
-struct InvarianceNet {
-  Deployment dep;
-  std::uint64_t next_client = 0;
-  std::uint64_t next_sub = 0;
-
-  explicit InvarianceNet(std::size_t n) {
-    for (std::uint64_t i = 0; i < n; ++i) {
-      dep.topology.add_broker(BrokerId{i});
-      if (i > 0) dep.topology.add_link(BrokerId{(i - 1) / 3}, BrokerId{i});
-      dep.capacities.emplace(BrokerId{i},
-                             BrokerCapacity{1.0e5, MatchingDelayFunction{10e-6, 0.5e-6}});
-    }
-    const char* symbols[] = {"AAA", "BBB", "CCC"};
-    const double rates[] = {40.0, 25.0, 15.0};
-    Rng rng(3);
-    for (std::size_t i = 0; i < 3; ++i) {
-      PublisherSpec p;
-      p.client = ClientId{next_client++};
-      p.adv = AdvId{i};
-      p.symbol = symbols[i];
-      p.rate_msg_s = rates[i];
-      p.home = BrokerId{rng.index(n)};
-      p.adv_filter = parse_filter("[class,=,'STOCK'],[symbol,=,'" +
-                                  std::string(symbols[i]) + "']");
-      dep.publishers.push_back(std::move(p));
-    }
-    for (std::size_t k = 0; k < 24; ++k) {
-      SubscriberSpec s;
-      s.client = ClientId{next_client++};
-      s.sub = SubId{next_sub++};
-      std::string filter = "[symbol,=,'" + std::string(symbols[rng.index(3)]) + "']";
-      if (rng.chance(0.4)) filter += ",[volume,>,900000]";
-      s.filter = parse_filter(filter);
-      s.home = BrokerId{rng.index(n)};
-      dep.subscribers.push_back(std::move(s));
-    }
-  }
-
-  Simulation make(SimOptions opts) {
-    return Simulation(Deployment(dep),
-                      StockQuoteGenerator(StockQuoteGenerator::Config{}, Rng(99)),
-                      NetworkConfig{}, opts);
-  }
-};
-
-void expect_summary_identical(const SimSummary& a, const SimSummary& b) {
-  EXPECT_EQ(b.publications, a.publications);
-  EXPECT_EQ(b.deliveries, a.deliveries);
-  EXPECT_EQ(b.broker_msgs_total, a.broker_msgs_total);
-  EXPECT_EQ(b.avg_broker_msg_rate, a.avg_broker_msg_rate);
-  EXPECT_EQ(b.system_msg_rate, a.system_msg_rate);
-  EXPECT_EQ(b.avg_hop_count, a.avg_hop_count);
-  EXPECT_EQ(b.avg_delivery_delay_ms, a.avg_delivery_delay_ms);
-  EXPECT_EQ(b.p50_delivery_delay_ms, a.p50_delivery_delay_ms);
-  EXPECT_EQ(b.p99_delivery_delay_ms, a.p99_delivery_delay_ms);
-  EXPECT_EQ(b.avg_output_utilization, a.avg_output_utilization);
-}
-
-// The whole point of the deterministic merge: enabling parallel matching
-// (threshold 1 = every batch fans out) must not move a single summary bit,
-// at any worker count. workers=1 exercises the dedicated-pool evaluator,
-// workers=2 the shard help-queue donation path.
-TEST(MatchThresholdInvariance, SummaryIsBitIdenticalWithParallelMatching) {
-  InvarianceNet base(9);
-  Simulation reference = base.make(SimOptions{.workers = 1});
-  reference.run(8.0);
-  const SimSummary expected = reference.summarize();
-  const std::size_t expected_events = reference.events_executed();
-
-  struct Case {
-    std::size_t workers;
-    std::size_t threshold;
-  };
-  for (const Case c : {Case{1, 1}, Case{2, 1}, Case{2, 4}}) {
-    InvarianceNet net(9);
-    Simulation sim = net.make(SimOptions{.workers = c.workers, .match_threshold = c.threshold});
-    sim.run(8.0);
-    expect_summary_identical(expected, sim.summarize());
-    EXPECT_EQ(sim.events_executed(), expected_events)
-        << "workers=" << c.workers << " threshold=" << c.threshold;
-  }
 }
 
 }  // namespace

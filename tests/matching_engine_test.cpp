@@ -2,15 +2,16 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "common/rng.hpp"
 #include "language/parser.hpp"
+#include "match_test_util.hpp"
 #include "workload/stock_quote.hpp"
 #include "workload/subscription_gen.hpp"
 
 namespace greenps {
 namespace {
+
+using testutil::snapshot_match;
 
 Publication yhoo_pub(double low = 18.37, std::int64_t volume = 6200) {
   Publication p(AdvId{1}, 1);
@@ -26,17 +27,16 @@ TEST(MatchingEngine, MatchesInsertedFilters) {
   eng.insert(1, parse_filter("[class,=,'STOCK'],[symbol,=,'YHOO']"));
   eng.insert(2, parse_filter("[class,=,'STOCK'],[symbol,=,'GOOG']"));
   eng.insert(3, parse_filter("[class,=,'STOCK'],[symbol,=,'YHOO'],[volume,>,10000]"));
-  auto result = eng.match(yhoo_pub());
-  std::sort(result.begin(), result.end());
+  const auto result = snapshot_match(eng, yhoo_pub());
   EXPECT_EQ(result, (std::vector<MatchingEngine::Handle>{1}));
 }
 
 TEST(MatchingEngine, RemoveStopsMatching) {
   MatchingEngine eng;
   eng.insert(1, parse_filter("[symbol,=,'YHOO']"));
-  EXPECT_EQ(eng.match(yhoo_pub()).size(), 1u);
+  EXPECT_EQ(snapshot_match(eng, yhoo_pub()).size(), 1u);
   eng.remove(1);
-  EXPECT_TRUE(eng.match(yhoo_pub()).empty());
+  EXPECT_TRUE(snapshot_match(eng, yhoo_pub()).empty());
   EXPECT_EQ(eng.size(), 0u);
   eng.remove(1);  // idempotent
 }
@@ -44,9 +44,9 @@ TEST(MatchingEngine, RemoveStopsMatching) {
 TEST(MatchingEngine, FiltersWithoutEqualityGoToScanList) {
   MatchingEngine eng;
   eng.insert(7, parse_filter("[volume,>,1000]"));
-  EXPECT_EQ(eng.match(yhoo_pub()).size(), 1u);
+  EXPECT_EQ(snapshot_match(eng, yhoo_pub()).size(), 1u);
   eng.remove(7);
-  EXPECT_TRUE(eng.match(yhoo_pub()).empty());
+  EXPECT_TRUE(snapshot_match(eng, yhoo_pub()).empty());
 }
 
 TEST(MatchingEngine, NoDuplicateResults) {
@@ -54,7 +54,7 @@ TEST(MatchingEngine, NoDuplicateResults) {
   // Two equality predicates could bucket under either attribute; the result
   // must still contain the handle exactly once.
   eng.insert(5, parse_filter("[class,=,'STOCK'],[symbol,=,'YHOO']"));
-  const auto result = eng.match(yhoo_pub());
+  const auto result = snapshot_match(eng, yhoo_pub());
   EXPECT_EQ(result.size(), 1u);
 }
 
@@ -89,8 +89,7 @@ TEST(MatchingEngineProperty, AgreesWithBruteForce) {
 
   for (int round = 0; round < 60; ++round) {
     const Publication pub = quotes.next(symbols[round % 4]);
-    auto got = eng.match(pub);
-    std::sort(got.begin(), got.end());
+    const auto got = snapshot_match(eng, pub);
     std::vector<MatchingEngine::Handle> expected;
     for (const auto& [h, f] : all) {
       if (f.matches(pub)) expected.push_back(h);

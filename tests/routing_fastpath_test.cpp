@@ -17,6 +17,7 @@
 #include "matching/compiled_filter.hpp"
 #include "matching/matching_engine.hpp"
 #include "matching/relations.hpp"
+#include "match_test_util.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/simulation.hpp"
 
@@ -113,14 +114,10 @@ TEST(MatchingEngineProperty, TypedIndexAgreesWithScanAllOracle) {
     }
 
     MatchingEngine::set_index_enabled(true);
-    auto fast = eng.match(pub);
-    std::sort(fast.begin(), fast.end());
-    EXPECT_EQ(fast, expected) << "round " << round << ": " << pub.to_string();
+    EXPECT_EQ(testutil::snapshot_match(eng, pub), expected) << "round " << round << ": " << pub.to_string();
 
     MatchingEngine::set_index_enabled(false);
-    auto brute = eng.match(pub);
-    std::sort(brute.begin(), brute.end());
-    EXPECT_EQ(brute, expected) << "round " << round << " (index disabled)";
+    EXPECT_EQ(testutil::snapshot_match(eng, pub), expected) << "round " << round << " (index disabled)";
   }
 }
 
@@ -161,6 +158,7 @@ TEST(SubscriptionRoutingTable, AdvScopedPruningMatchesUnprunedDecision) {
     srt.insert(SubId{next}, random_filter(rng), Hop::to_client(ClientId{next}));
     ++next;
   }
+  srt.publish();
 
   for (int round = 0; round < 400; ++round) {
     Publication pub;
@@ -204,6 +202,7 @@ TEST(SubscriptionRoutingTable, PruningReducesMatchWalks) {
   pub.set_attr("class", Value(std::string("STOCK")));
   pub.set_attr("symbol", Value(std::string("YHOO")));
   pub.set_header(AdvId{1}, 1);
+  srt.publish();
 
   SubscriptionRoutingTable::set_adv_pruning_enabled(true);
   MatchingEngine::reset_match_walks();
@@ -304,7 +303,7 @@ Publication publication_near(Rng& rng, const Filter& f) {
 // filters without equality predicates, two equality predicates on one
 // attribute, int/double key aliases and NaN, advertisements registered
 // before and after their subscriptions (and re-registered), and remove
-// followed by re-insert. Checked on the live table and on its snapshot.
+// followed by re-insert. Checked through the published snapshot.
 TEST(SubscriptionRoutingTable, ScopeIndexMatchesBruteForceCandidateScan) {
   ToggleGuard guard;
   SubscriptionRoutingTable::set_adv_pruning_enabled(true);
@@ -351,47 +350,43 @@ TEST(SubscriptionRoutingTable, ScopeIndexMatchesBruteForceCandidateScan) {
     }
     if (rng.chance(0.3)) insert_sub(rng.index(num_subs));  // replace in place
 
-    auto check = [&](const char* path) {
-      for (int round = 0; round < 6; ++round) {
-        const std::uint64_t adv = rng.index(num_advs);
-        Publication pub = publication_near(rng, advs.at(adv));
-        if (rng.chance(0.9)) pub.set_header(AdvId{adv}, 1);
-        const BrokerId excl{rng.index(4)};
-        const BrokerId* exclude = rng.chance(0.3) ? &excl : nullptr;
+    srt.publish();
+    for (int round = 0; round < 12; ++round) {
+      const std::uint64_t adv = rng.index(num_advs);
+      Publication pub = publication_near(rng, advs.at(adv));
+      if (rng.chance(0.9)) pub.set_header(AdvId{adv}, 1);
+      const BrokerId excl{rng.index(4)};
+      const BrokerId* exclude = rng.chance(0.3) ? &excl : nullptr;
 
-        SubscriptionRoutingTable::MatchResult expected;
-        std::size_t candidates = 0;
-        for (const auto& [id, entry] : subs) {
-          if (!oracle_eq_disjoint(advs.at(adv), entry.first)) ++candidates;
-          if (!entry.first.matches(pub)) continue;
-          const Hop& hop = entry.second;
-          if (hop.kind == Hop::Kind::kClient) {
-            expected.deliver.emplace_back(SubId{id}, hop.client);
-          } else if (exclude == nullptr || hop.broker != *exclude) {
-            expected.forward_to.push_back(hop.broker);
-          }
-        }
-        std::sort(expected.forward_to.begin(), expected.forward_to.end());
-        expected.forward_to.erase(
-            std::unique(expected.forward_to.begin(), expected.forward_to.end()),
-            expected.forward_to.end());
-        std::sort(expected.deliver.begin(), expected.deliver.end());
-
-        MatchingEngine::reset_match_walks();
-        const auto got = srt.match(pub, exclude);
-        const std::size_t walks = MatchingEngine::match_walks();
-        EXPECT_EQ(got.deliver, expected.deliver) << path << " mix " << mix;
-        EXPECT_EQ(got.forward_to, expected.forward_to) << path << " mix " << mix;
-        if (pub.adv_id().valid() && advs.at(adv).matches(pub)) {
-          EXPECT_EQ(walks, candidates) << path << " mix " << mix << ": "
-                                       << advs.at(adv).to_string() << " / " << pub.to_string();
-          ++pruned_checks;
+      SubscriptionRoutingTable::MatchResult expected;
+      std::size_t candidates = 0;
+      for (const auto& [id, entry] : subs) {
+        if (!oracle_eq_disjoint(advs.at(adv), entry.first)) ++candidates;
+        if (!entry.first.matches(pub)) continue;
+        const Hop& hop = entry.second;
+        if (hop.kind == Hop::Kind::kClient) {
+          expected.deliver.emplace_back(SubId{id}, hop.client);
+        } else if (exclude == nullptr || hop.broker != *exclude) {
+          expected.forward_to.push_back(hop.broker);
         }
       }
-    };
-    check("live");
-    srt.publish();
-    check("snapshot");
+      std::sort(expected.forward_to.begin(), expected.forward_to.end());
+      expected.forward_to.erase(
+          std::unique(expected.forward_to.begin(), expected.forward_to.end()),
+          expected.forward_to.end());
+      std::sort(expected.deliver.begin(), expected.deliver.end());
+
+      MatchingEngine::reset_match_walks();
+      const auto got = srt.match(pub, exclude);
+      const std::size_t walks = MatchingEngine::match_walks();
+      EXPECT_EQ(got.deliver, expected.deliver) << "mix " << mix;
+      EXPECT_EQ(got.forward_to, expected.forward_to) << "mix " << mix;
+      if (pub.adv_id().valid() && advs.at(adv).matches(pub)) {
+        EXPECT_EQ(walks, candidates) << "mix " << mix << ": "
+                                     << advs.at(adv).to_string() << " / " << pub.to_string();
+        ++pruned_checks;
+      }
+    }
   }
   EXPECT_GT(pruned_checks, 2000u);  // the scoped path really ran
 }
@@ -478,6 +473,7 @@ TEST(InstallRouting, MatchesPerPairPathReference) {
         }
       }
     }
+    for (auto& [b, table] : ref) table.publish();
 
     const Topology topology = dep.topology;
     const std::vector<SubscriberSpec> subscribers = dep.subscribers;
