@@ -28,18 +28,17 @@ int main() {
             widths);
 
   for (const double headroom : {1.0, 0.8, 0.6, 0.4}) {
-    Simulation sim = make_simulation(sc);
+    Simulation sim = make_simulation(sc, sim_options());
     sim.run(90.0);
-    CrocConfig cfg;
+    CrocConfig cfg = croc_config();
     cfg.algorithm = Phase2Algorithm::kCram;
     cfg.capacity_headroom = headroom;
     Croc croc(cfg);
     const auto report = croc.reconfigure(sim, BrokerId{0});
-    if (!report.success) {
+    if (!report.success || !redeploy_plan(sim, report.plan, "A1")) {
       print_row({fmt(headroom, 2), "failed", "-", "-", "-", "-", "-"}, widths);
       continue;
     }
-    sim.redeploy(apply_plan(sim.deployment(), report.plan));
     sim.run(120.0);
     const SimSummary s = sim.summarize();
     print_row({fmt(headroom, 2), std::to_string(s.allocated_brokers),

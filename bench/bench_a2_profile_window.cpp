@@ -37,7 +37,7 @@ int main() {
   for (const std::size_t window : {64u, 128u, 320u, 640u, 1280u}) {
     ScenarioConfig sc = base;
     sc.profile_window_bits = window;
-    Simulation sim = make_simulation(sc);
+    Simulation sim = make_simulation(sc, sim_options());
     sim.run(profile_s);
 
     // Plan (and capture the Phase-2 allocation for its predicted rates).
@@ -45,18 +45,19 @@ int main() {
         sim.deployment().topology, BrokerId{0},
         [&sim](BrokerId b) { return sim.broker_info(b); });
     const CramResult planned =
-        cram_allocate(Croc::pool_from(info), Croc::units_from(info), info.publisher_table);
-    CrocConfig cfg;
+        cram_allocate(Croc::pool_from(info), Croc::units_from(info), info.publisher_table,
+                      cram_options());
+    CrocConfig cfg = croc_config();
     cfg.algorithm = Phase2Algorithm::kCram;
     Croc croc(cfg);
     const auto report = croc.plan_from_info(info);
-    if (!report.success || !planned.allocation.success) {
+    if (!report.success || !planned.allocation.success ||
+        !redeploy_plan(sim, report.plan, "A2")) {
       print_row({std::to_string(window), "failed", "-", "-", "-", "-"}, widths);
       continue;
     }
     const double planned_in = planned.allocation.total_in_rate();
 
-    sim.redeploy(apply_plan(sim.deployment(), report.plan));
     sim.run(60.0);
     const SimSummary s = sim.summarize();
     // Measured inflow at the brokers that host subscriptions (the tier the

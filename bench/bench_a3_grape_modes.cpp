@@ -36,19 +36,18 @@ int main() {
   for (const Mode m : {Mode{"root (no GRAPE)", false, GrapeMode::kMinimizeLoad},
                        Mode{"minimize-load", true, GrapeMode::kMinimizeLoad},
                        Mode{"minimize-delay", true, GrapeMode::kMinimizeDelay}}) {
-    Simulation sim = make_simulation(sc);
+    Simulation sim = make_simulation(sc, sim_options());
     sim.run(90.0);
-    CrocConfig cfg;
+    CrocConfig cfg = croc_config();
     cfg.algorithm = Phase2Algorithm::kCram;
     cfg.run_grape = m.run_grape;
     cfg.grape_mode = m.mode;
     Croc croc(cfg);
     const auto report = croc.reconfigure(sim, BrokerId{0});
-    if (!report.success) {
+    if (!report.success || !redeploy_plan(sim, report.plan, "A3")) {
       print_row({m.name, "failed", "-", "-", "-", "-"}, widths);
       continue;
     }
-    sim.redeploy(apply_plan(sim.deployment(), report.plan));
     sim.run(120.0);
     const SimSummary s = sim.summarize();
     print_row({m.name, std::to_string(s.allocated_brokers), fmt(s.system_msg_rate, 1),

@@ -111,9 +111,9 @@ int main() {
     const ChaosLevel& level = levels[li];
     if (budget.skip((level.name + " (and any remaining levels)").c_str())) break;
 
-    Simulation sim = make_simulation(sc);
+    Simulation sim = make_simulation(sc, sim_options());
     sim.run(profile_s);
-    CrocConfig cfg;
+    CrocConfig cfg = croc_config();
     cfg.seed = sc.seed;
     Croc croc(cfg);
     const ReconfigurationReport report = croc.reconfigure(sim, BrokerId{0});
@@ -194,9 +194,9 @@ int main() {
 
   // ---- forced failure paths: mid-apply crash, dead entry, re-plan ----
   if (!budget.skip("mid-apply crash scene")) {
-    Simulation sim = make_simulation(sc);
+    Simulation sim = make_simulation(sc, sim_options());
     sim.run(profile_s);
-    CrocConfig cfg;
+    CrocConfig cfg = croc_config();
     cfg.seed = sc.seed;
     Croc croc(cfg);
     const ReconfigurationReport report = croc.reconfigure(sim, BrokerId{0});

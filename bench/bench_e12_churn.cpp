@@ -23,7 +23,6 @@
 // Results land in BENCH_churn.json.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -38,12 +37,6 @@ using namespace greenps::bench;
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::strtod(v, nullptr);
-}
 
 }  // namespace
 
@@ -62,7 +55,7 @@ int main() {
                              : "[reduced scale]");
 
   // One profiled deployment seeds the population and the churn references.
-  Simulation sim = make_simulation(cfg.scenario);
+  Simulation sim = make_simulation(cfg.scenario, sim_options());
   sim.run(cfg.profile_seconds);
   const GatheredInfo info = gather_information(
       sim.deployment().topology, BrokerId{0},
@@ -82,7 +75,7 @@ int main() {
     max_id = std::max(max_id, u.members.front().value());
   }
 
-  IncrementalCram session(Croc::pool_from(info), units, info.publisher_table, CramOptions{});
+  IncrementalCram session(Croc::pool_from(info), units, info.publisher_table, cram_options());
   const auto t_init = Clock::now();
   const CramResult init = session.initialize();
   const double init_s = std::chrono::duration<double>(Clock::now() - t_init).count();
@@ -208,7 +201,7 @@ int main() {
   // ---- Croc-level scene: epoch-based gather reuse on the live simulator ----
   bool scene_ok = true;
   if (!budget.skip("epoch-reuse scene")) {
-    CrocConfig ccfg;
+    CrocConfig ccfg = croc_config();
     ccfg.seed = cfg.scenario.seed;
     Croc croc(ccfg);
     const ReconfigurationReport r1 = croc.reconfigure_incremental(sim, BrokerId{0});

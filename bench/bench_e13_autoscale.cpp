@@ -29,7 +29,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -54,12 +53,6 @@ const char* mode_name(Mode m) {
     case Mode::kController: return "controller";
   }
   return "?";
-}
-
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::strtod(v, nullptr);
 }
 
 struct ModeResult {
@@ -102,7 +95,7 @@ ModeResult run_mode(Mode mode, const HarnessConfig& cfg, const DiurnalSchedule& 
         mode == Mode::kStaticPeak ? schedule.peak() : schedule.trough();
     modulator.apply(sim, size_mult);
     sim.run(profile_s);
-    CrocConfig ccfg;
+    CrocConfig ccfg = croc_config();
     ccfg.seed = cfg.scenario.seed;
     ccfg.capacity_headroom = 0.9;
     Croc croc(ccfg);
@@ -127,6 +120,8 @@ ModeResult run_mode(Mode mode, const HarnessConfig& cfg, const DiurnalSchedule& 
   lc.interval_s = interval_s;
   lc.enabled = mode == Mode::kController;
   lc.croc.seed = cfg.scenario.seed;
+  lc.croc.cram = cram_options(lc.croc.cram);
+  lc.initial_headroom_scale = env_double("GREENPS_HEADROOM_SCALE", 0);
   control::ControlLoop loop(sim, lc);
 
   r.min_brokers = r.max_brokers = sim.deployment().topology.broker_count();

@@ -37,7 +37,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <utility>
@@ -65,12 +64,6 @@ const char* mode_name(Mode m) {
     case Mode::kFaultFree: return "fault-free";
   }
   return "?";
-}
-
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::strtod(v, nullptr);
 }
 
 struct CrashRecord {
@@ -157,6 +150,8 @@ ModeResult run_mode(Mode mode, std::size_t workers, const HarnessConfig& cfg,
   control::ControlLoopConfig lc;
   lc.interval_s = interval_s;
   lc.croc.seed = c.scenario.seed;
+  lc.croc.cram = cram_options(lc.croc.cram);
+  lc.initial_headroom_scale = env_double("GREENPS_HEADROOM_SCALE", 0);
   lc.healing = mode != Mode::kNoHealing;
   control::ControlLoop loop(sim, lc);
 

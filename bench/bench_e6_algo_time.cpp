@@ -51,7 +51,7 @@ int main() {
                              : "[reduced scale]");
 
   // Gather once from a profiled deployment.
-  Simulation sim = make_simulation(cfg.scenario);
+  Simulation sim = make_simulation(cfg.scenario, sim_options());
   sim.run(cfg.profile_seconds);
   const GatheredInfo info = gather_information(
       sim.deployment().topology, BrokerId{0},
@@ -108,7 +108,7 @@ int main() {
       budget_hit = true;
       break;
     }
-    CramOptions opts;
+    CramOptions opts = cram_options();
     opts.metric = m;
     CramResult r;
     UnionProfile::reset_probe_walks();

@@ -25,7 +25,7 @@ int main() {
   std::printf("E7: CRAM optimization ablation, %zu subscriptions %s\n\n", total,
               full_scale() ? "[FULL SCALE]" : "[reduced scale]");
 
-  Simulation sim = make_simulation(cfg.scenario);
+  Simulation sim = make_simulation(cfg.scenario, sim_options());
   sim.run(cfg.profile_seconds);
   const GatheredInfo info = gather_information(
       sim.deployment().topology, BrokerId{0},
@@ -76,7 +76,7 @@ int main() {
                           Variant{"no one-to-many (1+2)", true, false},
                           Variant{"pairwise only (opt1)", false, false}}) {
     if (budget.skip(v.name)) continue;
-    CramOptions opts;
+    CramOptions opts = cram_options();
     opts.metric = ClosenessMetric::kIos;
     opts.poset_pruning = v.prune;
     opts.one_to_many = v.o2m;
@@ -92,7 +92,7 @@ int main() {
 
   // --- no GIF grouping at all (opt 2 requires opt 1, so both are off) ---
   if (!budget.skip("no-optimizations variant")) {
-    CramOptions opts;
+    CramOptions opts = cram_options();
     opts.metric = ClosenessMetric::kIos;
     opts.gif_grouping = false;
     opts.one_to_many = false;

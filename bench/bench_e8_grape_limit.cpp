@@ -99,15 +99,14 @@ int main() {
 
   // Full 3-phase reconfiguration with CRAM.
   {
-    CrocConfig cfg;
+    CrocConfig cfg = croc_config();
     cfg.algorithm = Phase2Algorithm::kCram;
     Croc croc(cfg);
     const auto report = croc.reconfigure(sim, BrokerId{0});
-    if (!report.success) {
+    if (!report.success || !redeploy_plan(sim, report.plan, "E8")) {
       std::printf("full scheme: reconfiguration failed\n");
       return 1;
     }
-    sim.redeploy(apply_plan(sim.deployment(), report.plan));
     sim.run(measure_s);
     const SimSummary s = sim.summarize();
     std::printf("%-22s system rate %8.1f msg/s  brokers %3zu  (vs MANUAL: %s)\n",

@@ -35,7 +35,7 @@ int main() {
   std::printf("E9: Phase-3 overlay optimization ablation (heterogeneous pool) %s\n\n",
               full_scale() ? "[FULL SCALE]" : "[reduced scale]");
 
-  Simulation sim = make_simulation(cfg.scenario);
+  Simulation sim = make_simulation(cfg.scenario, sim_options());
   sim.run(cfg.profile_seconds);
   const GatheredInfo info = gather_information(
       sim.deployment().topology, BrokerId{0},

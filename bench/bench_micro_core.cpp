@@ -286,7 +286,7 @@ void BM_IncrementalRecluster(benchmark::State& state) {
   for (std::size_t b = 0; b < pool.size(); ++b) {
     pool[b] = AllocBroker{BrokerId{b}, 4000.0, MatchingDelayFunction{}};
   }
-  IncrementalCram session(std::move(pool), std::move(units), table, CramOptions{});
+  IncrementalCram session(std::move(pool), std::move(units), table, bench::cram_options());
   if (!session.initialize().allocation.success) {
     state.SkipWithError("initial convergence failed");
     return;

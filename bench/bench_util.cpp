@@ -1,13 +1,63 @@
 #include "bench_util.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
 #include "croc/reconfig_plan.hpp"
 #include "matching/matching_engine.hpp"
+#include "obs/trace.hpp"
 
 namespace greenps::bench {
+
+namespace {
+
+// `name`'s value, or nullptr when it is unset or empty.
+const char* env_value(const char* name) {
+  const char* v = std::getenv(name);
+  return v != nullptr && *v != '\0' ? v : nullptr;
+}
+
+// GREENPS_TRACE=<path> starts the tracer before main() runs, so every bench
+// binary is traceable with no code changes.
+struct TraceFromEnv {
+  TraceFromEnv() {
+    if (const char* path = env_value("GREENPS_TRACE")) obs::trace_start(path);
+  }
+};
+const TraceFromEnv g_trace_from_env;
+
+// A non-negative count knob; negatives and garbage read as 0.
+std::size_t env_count(const char* name, std::size_t fallback) {
+  const double v = env_double(name, static_cast<double>(fallback));
+  return v > 0 ? static_cast<std::size_t>(v) : 0;
+}
+
+}  // namespace
+
+double env_double(const char* name, double fallback) {
+  const char* v = env_value(name);
+  return v != nullptr ? std::strtod(v, nullptr) : fallback;
+}
+
+SimOptions sim_options() {
+  SimOptions opts;
+  opts.workers = std::max<std::size_t>(env_count("GREENPS_SIM_WORKERS", 1), 1);
+  return opts;
+}
+
+CramOptions cram_options(CramOptions base) {
+  base.threads = env_count("GREENPS_CRAM_THREADS", base.threads);
+  base.rebaseline_interval = env_count("GREENPS_CRAM_REBASELINE", base.rebaseline_interval);
+  return base;
+}
+
+CrocConfig croc_config() {
+  CrocConfig cfg;
+  cfg.cram = cram_options(cfg.cram);
+  return cfg;
+}
 
 const char* approach_name(Approach a) {
   switch (a) {
@@ -37,18 +87,12 @@ std::vector<Approach> proposed_approaches() {
           Approach::kCramXor, Approach::kCramIos, Approach::kCramIou};
 }
 
-bool full_scale() {
-  const char* v = std::getenv("GREENPS_FULL");
-  return v != nullptr && v[0] != '\0' && v[0] != '0' && !tiny_scale();
-}
+bool full_scale() { return env_double("GREENPS_FULL", 0) != 0 && !tiny_scale(); }
 
-bool tiny_scale() {
-  const char* v = std::getenv("GREENPS_TINY");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
+bool tiny_scale() { return env_double("GREENPS_TINY", 0) != 0; }
 
 CrocConfig croc_config_for(Approach a, std::uint64_t seed) {
-  CrocConfig cfg;
+  CrocConfig cfg = croc_config();
   cfg.seed = seed;
   switch (a) {
     case Approach::kPairwiseK:
@@ -92,7 +136,12 @@ RunResult run_approach(Approach a, const HarnessConfig& cfg) {
 
   const auto t0 = std::chrono::steady_clock::now();
   MatchingEngine::reset_match_walks();
+  const double sample_ms = env_double("GREENPS_OBS_SAMPLE_MS", 0);
   const auto finish = [&](Simulation& sim) {
+    if (sample_ms > 0) {
+      const char* path = env_value("GREENPS_OBS_SAMPLES");
+      sim.samples().write_csv(path != nullptr ? path : "obs_samples.csv");
+    }
     result.summary = sim.summarize();
     result.events = sim.events_executed();
     result.match_walks = MatchingEngine::match_walks();
@@ -107,6 +156,7 @@ RunResult run_approach(Approach a, const HarnessConfig& cfg) {
   sc.placement =
       a == Approach::kAutomatic ? InitialPlacement::kAutomatic : InitialPlacement::kManual;
   Simulation sim = make_simulation(sc, cfg.sim);
+  sim.set_sample_interval_ms(sample_ms);
 
   if (a == Approach::kManual || a == Approach::kAutomatic) {
     sim.run(cfg.profile_seconds);  // warm-up for parity with the others
@@ -124,11 +174,25 @@ RunResult run_approach(Approach a, const HarnessConfig& cfg) {
     finish(sim);
     return result;
   }
-  sim.redeploy(apply_plan(sim.deployment(), result.report.plan));
+  if (!redeploy_plan(sim, result.report.plan, approach_name(a))) {
+    finish(sim);
+    return result;
+  }
   result.reconfigured = true;
   sim.run(cfg.measure_seconds);
   finish(sim);
   return result;
+}
+
+bool redeploy_plan(Simulation& sim, const ReconfigurationPlan& plan, const char* what) {
+  ApplyResult applied = apply_plan_transactional(sim.deployment(), plan);
+  if (!applied.success) {
+    std::fprintf(stderr, "[bench] %s: apply rolled back (%s: %s)\n", what,
+                 failure_reason_name(applied.reason), applied.detail.c_str());
+    return false;
+  }
+  sim.redeploy(std::move(applied.deployment));
+  return true;
 }
 
 void print_row(const std::vector<std::string>& cells, const std::vector<int>& widths) {
@@ -161,11 +225,8 @@ std::string pct_change(double baseline, double value) {
   return buf;
 }
 
-BenchBudget::BenchBudget() : t0_(std::chrono::steady_clock::now()) {
-  if (const char* v = std::getenv("GREENPS_BENCH_BUDGET_S"); v != nullptr && *v != '\0') {
-    budget_s_ = std::strtod(v, nullptr);
-  }
-}
+BenchBudget::BenchBudget()
+    : t0_(std::chrono::steady_clock::now()), budget_s_(env_double("GREENPS_BENCH_BUDGET_S", 0)) {}
 
 double BenchBudget::elapsed() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_).count();

@@ -39,14 +39,34 @@ enum class Approach {
 [[nodiscard]] std::vector<Approach> all_approaches();
 [[nodiscard]] std::vector<Approach> proposed_approaches();  // FBF..CRAM-IOU
 
+// ---- environment ----
+//
+// The bench binaries are the only code in the project that reads GREENPS_*
+// variables: the library takes every knob from a field, and the helpers
+// below fill those fields. Every bench binary links this file, whose
+// start-up also calls obs::trace_start when GREENPS_TRACE=<path> is set
+// (the trace is written at exit).
+
+// `name` parsed as a number; `fallback` when unset or empty. Garbage parses
+// as 0, which every knob below treats as its default.
+[[nodiscard]] double env_double(const char* name, double fallback);
+
+// SimOptions::workers from GREENPS_SIM_WORKERS (unset: one worker).
+[[nodiscard]] SimOptions sim_options();
+// `base` with CramOptions::threads and rebaseline_interval taken from
+// GREENPS_CRAM_THREADS and GREENPS_CRAM_REBASELINE where those are set.
+[[nodiscard]] CramOptions cram_options(CramOptions base = {});
+// A default CrocConfig whose CRAM options went through cram_options().
+[[nodiscard]] CrocConfig croc_config();
+
 struct HarnessConfig {
   ScenarioConfig scenario;
   double profile_seconds = 90.0;
   double measure_seconds = 120.0;
-  // Simulator parallelism (workers = event-queue shards). Defaults to the
-  // GREENPS_SIM_WORKERS environment resolution; results are bit-identical
-  // for any worker count.
-  SimOptions sim;
+  // Simulator parallelism (workers = event-queue shards). Defaults to
+  // GREENPS_SIM_WORKERS (see sim_options()); results are bit-identical for
+  // any worker count.
+  SimOptions sim = sim_options();
 };
 
 struct RunResult {
@@ -61,11 +81,20 @@ struct RunResult {
   std::size_t workers = 1;       // event-loop shards the simulator used
 };
 
+// GREENPS_OBS_SAMPLE_MS=<ms> samples every broker at that sim-time interval
+// and writes the run's rows to GREENPS_OBS_SAMPLES (default
+// obs_samples.csv), so after a sweep the file holds the last run's series.
 [[nodiscard]] RunResult run_approach(Approach a, const HarnessConfig& cfg);
+
+// Apply `plan` to `sim` with apply_plan_transactional and redeploy. A
+// rolled-back apply prints why to stderr (tagged with `what`), leaves `sim`
+// on its deployment and returns false.
+bool redeploy_plan(Simulation& sim, const ReconfigurationPlan& plan, const char* what);
 
 // Map an approach to a CROC configuration (for the reconfiguring ones).
 [[nodiscard]] CrocConfig croc_config_for(Approach a, std::uint64_t seed);
 
+// GREENPS_FULL=1: the paper's scale (see the file comment).
 [[nodiscard]] bool full_scale();
 // GREENPS_TINY=1: smoke-test scale (a few brokers, seconds of simulated
 // time) so a bench binary can run under ctest as a routing regression

@@ -50,7 +50,12 @@ int main() {
   {
     const auto report = reconfigure(sim);
     if (!report.success) return 1;
-    sim.redeploy(apply_plan(sim.deployment(), report.plan));
+    ApplyResult applied = apply_plan_transactional(sim.deployment(), report.plan);
+    if (!applied.success) {
+      std::printf("apply rolled back: %s\n", applied.detail.c_str());
+      return 1;
+    }
+    sim.redeploy(std::move(applied.deployment));
     sim.run(90.0);
     report_state("epoch 1 (reconfigured)", sim.summarize());
   }
@@ -80,7 +85,12 @@ int main() {
   {
     const auto report = reconfigure(sim);
     if (!report.success) return 1;
-    sim.redeploy(apply_plan(sim.deployment(), report.plan));
+    ApplyResult applied = apply_plan_transactional(sim.deployment(), report.plan);
+    if (!applied.success) {
+      std::printf("apply rolled back: %s\n", applied.detail.c_str());
+      return 1;
+    }
+    sim.redeploy(std::move(applied.deployment));
     sim.run(90.0);
     report_state("epoch 2 (reconfigured)", sim.summarize());
   }

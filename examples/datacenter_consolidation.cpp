@@ -62,7 +62,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  sim.redeploy(apply_plan(sim.deployment(), report.plan));
+  ApplyResult applied = apply_plan_transactional(sim.deployment(), report.plan);
+
+  if (!applied.success) {
+
+    std::printf("apply rolled back: %s\n", applied.detail.c_str());
+
+    return 1;
+
+  }
+
+  sim.redeploy(std::move(applied.deployment));
   sim.run(120.0);
   const SimSummary after = sim.summarize();
 

@@ -83,7 +83,12 @@ int main(int argc, char** argv) {
     std::printf("reconfiguration failed\n");
     return 1;
   }
-  sim.redeploy(apply_plan(sim.deployment(), report.plan));
+  ApplyResult applied = apply_plan_transactional(sim.deployment(), report.plan);
+  if (!applied.success) {
+    std::printf("apply rolled back: %s\n", applied.detail.c_str());
+    return 1;
+  }
+  sim.redeploy(std::move(applied.deployment));
   sim.run(60.0);
   const SimSummary after = sim.summarize();
   std::printf("after:  %zu brokers, %.1f msg/s system, %.2f hops\n\n",

@@ -52,7 +52,12 @@ int main() {
               report.cluster_count, report.gather.bia_messages);
 
   // --- 4. apply and re-measure ---
-  sim.redeploy(apply_plan(sim.deployment(), report.plan));
+  ApplyResult applied = apply_plan_transactional(sim.deployment(), report.plan);
+  if (!applied.success) {
+    std::printf("apply rolled back: %s\n", applied.detail.c_str());
+    return 1;
+  }
+  sim.redeploy(std::move(applied.deployment));
   sim.run(60.0);
   const SimSummary after = sim.summarize();
   std::printf("after:  %zu brokers active, %.1f msg/s system rate, %.2f avg hops, "

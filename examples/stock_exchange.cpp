@@ -85,7 +85,12 @@ int main(int argc, char** argv) {
       std::printf("%-14s reconfiguration failed\n", row.name.c_str());
       continue;
     }
-    sim.redeploy(apply_plan(sim.deployment(), report.plan));
+    ApplyResult applied = apply_plan_transactional(sim.deployment(), report.plan);
+    if (!applied.success) {
+      std::printf("%-14s apply rolled back: %s\n", row.name.c_str(), applied.detail.c_str());
+      continue;
+    }
+    sim.redeploy(std::move(applied.deployment));
     sim.run(120.0);
     const SimSummary s = sim.summarize();
     std::printf("%-14s %8zu %9zu %10.1f %8.2f %10.2f %10.1f\n", row.name.c_str(),

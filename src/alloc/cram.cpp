@@ -1,6 +1,5 @@
 #include "alloc/cram.hpp"
 
-#include <cstdlib>
 #include <utility>
 
 #include "alloc/cram_run.hpp"
@@ -33,14 +32,6 @@ CramOptions resolve_cram_options(const CramOptions& options) {
   // requires optimization 1 (without grouping, equal profiles would collide
   // on one poset node and shadow each other).
   if (!opts.gif_grouping) opts.poset_pruning = false;
-  if (const char* env = std::getenv("GREENPS_CRAM_THREADS");
-      env != nullptr && *env != '\0') {
-    opts.threads = static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
-  }
-  if (const char* env = std::getenv("GREENPS_CRAM_REBASELINE");
-      env != nullptr && *env != '\0') {
-    opts.rebaseline_interval = static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
-  }
   return opts;
 }
 

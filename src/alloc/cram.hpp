@@ -31,14 +31,13 @@ struct CramOptions {
   // Worker threads for the best-partner search and the speculative k-search
   // (the caller counts as one): 0 = hardware_concurrency. Results are
   // bit-identical for every thread count — the searches read a snapshot and
-  // merge deterministically. GREENPS_CRAM_THREADS, when set, overrides this.
+  // merge deterministically.
   std::size_t threads = 0;
   // Drift re-baselining for IncrementalCram sessions: after this many
   // apply() deltas, the session folds a from-scratch convergence over the
   // live population into itself, resetting accumulated clustering drift
   // (incremental reconvergence never revisits untouched neighborhoods, so
   // drift vs from-scratch grows with delta count). 0 = never rebaseline.
-  // GREENPS_CRAM_REBASELINE, when set, overrides this.
   std::size_t rebaseline_interval = 0;
 };
 
@@ -94,9 +93,9 @@ struct CramResult {
 };
 
 // Normalize an options struct the way cram_allocate does before running:
-// poset pruning is forced off without GIF grouping, and GREENPS_CRAM_THREADS
-// (when set) overrides the thread count. IncrementalCram applies the same
-// resolution so a delta session and a from-scratch run see identical knobs.
+// poset pruning is forced off without GIF grouping. IncrementalCram applies
+// the same resolution so a delta session and a from-scratch run see
+// identical knobs.
 [[nodiscard]] CramOptions resolve_cram_options(const CramOptions& options);
 
 [[nodiscard]] CramResult cram_allocate(std::vector<AllocBroker> pool,

@@ -2,25 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/units.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace greenps::control {
-
-namespace {
-
-// GREENPS_HEADROOM_SCALE: persisted learned headroom correction from a
-// previous run (benches emit it; operators feed it back). 0 when unset.
-double headroom_scale_from_env() {
-  const char* env = std::getenv("GREENPS_HEADROOM_SCALE");
-  if (env == nullptr || *env == '\0') return 0;
-  return std::atof(env);
-}
-
-}  // namespace
 
 ControlLoop::ControlLoop(Simulation& sim, ControlLoopConfig config)
     : sim_(sim),
@@ -61,10 +48,9 @@ ControlLoop::ControlLoop(Simulation& sim, ControlLoopConfig config)
   // profiles are warm, so the first decision owes dwell but not warm-up.
   last_deploy_s_ = -config_.controller.warmup_s;
 
-  const double seed_scale = config_.initial_headroom_scale > 0
-                                ? config_.initial_headroom_scale
-                                : headroom_scale_from_env();
-  if (seed_scale > 0) headroom_scale_ = std::clamp(seed_scale, 0.05, kMaxScale);
+  if (config_.initial_headroom_scale > 0) {
+    headroom_scale_ = std::clamp(config_.initial_headroom_scale, 0.05, kMaxScale);
+  }
 
   if (config_.healing) {
     std::vector<BrokerId> brokers = sim_.deployment().topology.brokers();

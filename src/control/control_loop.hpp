@@ -83,9 +83,9 @@ struct ControlLoopConfig {
   // models the operator's repair/replacement time.
   double quarantine_s = 120;
 
-  // Seed for the learned headroom correction (ROADMAP follow-up: persist
-  // headroom_scale_ across runs). <= 0 resolves GREENPS_HEADROOM_SCALE from
-  // the environment, defaulting to 1.0 (trust the allocator's model).
+  // Seed for the learned headroom correction, persisted from an earlier
+  // run's headroom_scale(). <= 0 keeps the default 1.0 (trust the
+  // allocator's model).
   double initial_headroom_scale = 0;
 };
 
@@ -161,8 +161,7 @@ class ControlLoop {
     return recoveries_;
   }
   // The learned allocator-headroom correction as of now — persist it across
-  // runs by seeding the next run's initial_headroom_scale (or
-  // GREENPS_HEADROOM_SCALE) with this value.
+  // runs by seeding the next run's initial_headroom_scale with this value.
   [[nodiscard]] double headroom_scale() const { return headroom_scale_; }
 
   // Test hook: runs after planning, before the transactional apply —

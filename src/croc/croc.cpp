@@ -20,6 +20,16 @@ using Clock = std::chrono::steady_clock;
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
+
+// Phase 1 over the live overlay. Crashed brokers answer nothing: the
+// gatherer times out on them (bounded retry) and CROC plans from the
+// brokers that answered.
+GatheredInfo gather_reachable(const Simulation& sim, BrokerId entry) {
+  GREENPS_SPAN("croc.phase1.gather");
+  return gather_information(sim.deployment().topology, entry, [&sim](BrokerId b) {
+    return sim.broker_info_if_reachable(b);
+  });
+}
 }  // namespace
 
 const char* algorithm_name(Phase2Algorithm a) {
@@ -54,33 +64,66 @@ std::vector<AllocBroker> Croc::pool_from(const GatheredInfo& info) {
 
 ReconfigurationReport Croc::reconfigure(const Simulation& sim, BrokerId entry) {
   GREENPS_SPAN("croc.reconfigure");
+  return gather_and_plan(
+      sim, entry, /*incremental=*/false, [&] { return gather_reachable(sim, entry); },
+      [this](GatheredInfo& info) { return plan_from_info(info); });
+}
+
+ReconfigurationReport Croc::gather_and_plan(
+    const Simulation& sim, BrokerId entry, bool incremental,
+    const std::function<GatheredInfo()>& gather,
+    const std::function<ReconfigurationReport(GatheredInfo&)>& plan) {
   const auto t0 = Clock::now();
-  GatheredInfo info;
-  {
-    GREENPS_SPAN("croc.phase1.gather");
-    // Crashed brokers answer nothing: Phase 1 times out on them (bounded
-    // retry in the gatherer) and CROC plans from the brokers that answered.
-    info = gather_information(sim.deployment().topology, entry, [&sim](BrokerId b) {
-      return sim.broker_info_if_reachable(b);
-    });
-  }
-  apply_quarantine(info);
+  GatheredInfo info = gather();
+  const GatherStats stats = info.stats;
+  // A suspect broker may still have answered its BIR.
+  std::erase_if(info.brokers, [this](const BrokerInfo& b) {
+    return std::binary_search(quarantine_.begin(), quarantine_.end(), b.id);
+  });
+  ReconfigurationReport report;
   if (info.brokers.empty()) {
-    ReconfigurationReport report;
+    report.incremental = incremental;
     report.failure = FailureReason::kGatherFailed;
-    report.gather = info.stats;
-    report.phase1_seconds = seconds_since(t0);
-    log::warn("phase 1 gathered no broker info (entry broker ", entry.value(),
+    log::warn(incremental ? "incremental phase 1" : "phase 1",
+              " gathered no broker info (entry broker ", entry.value(),
               " unreachable?); reconfiguration aborted");
-    return report;
+  } else {
+    // Parked brokers are not in the overlay, so the gather never visits
+    // them: append every reserve entry Phase 1 did not report. reserve_ is
+    // sorted by id, so the spliced order — and every plan derived from the
+    // pool — is deterministic. A quarantined broker must not come back
+    // through the reserve: its entry covers the same id the quarantine just
+    // removed from the gathered pool.
+    std::unordered_set<BrokerId> live;
+    live.reserve(info.brokers.size());
+    for (const BrokerInfo& b : info.brokers) live.insert(b.id);
+    for (const BrokerInfo& b : reserve_) {
+      if (live.contains(b.id)) continue;
+      if (std::binary_search(quarantine_.begin(), quarantine_.end(), b.id)) continue;
+      info.brokers.push_back(b);
+    }
+    report = plan(info);
   }
-  splice_reserve(info);
-  ReconfigurationReport report = plan_from_info(info);
+  report.gather = stats;
   report.phase1_seconds = seconds_since(t0) - report.phase2_seconds -
                           report.phase3_seconds - report.grape_seconds;
-  report.gather = info.stats;
   if (report.success) report.migration = migration_cost(sim.deployment(), report.plan);
   return report;
+}
+
+std::vector<AllocBroker> Croc::headroom_pool(const GatheredInfo& info,
+                                             ReconfigurationReport& report,
+                                             const char* caller) const {
+  std::vector<AllocBroker> pool = pool_from(info);
+  for (AllocBroker& b : pool) b.out_bw *= config_.capacity_headroom;
+  if (pool.empty()) {
+    // Nothing answered the BIR (total gather failure): there is no broker
+    // to allocate onto, and the no-subscription fallback of finish_plan
+    // would index an empty pool.
+    report.failure = FailureReason::kGatherFailed;
+    log::warn(caller, ": gathered info names no brokers; nothing to plan");
+  }
+  return pool;
 }
 
 MigrationCost migration_cost(const Deployment& current, const ReconfigurationPlan& plan) {
@@ -112,18 +155,10 @@ MigrationCost migration_cost(const Deployment& current, const ReconfigurationPla
 
 ReconfigurationReport Croc::plan_from_info(const GatheredInfo& info) {
   ReconfigurationReport report;
+  std::vector<AllocBroker> pool = headroom_pool(info, report, "plan_from_info");
+  if (pool.empty()) return report;
   Rng rng(config_.seed);
   const PublisherTable& table = info.publisher_table;
-  std::vector<AllocBroker> pool = pool_from(info);
-  if (pool.empty()) {
-    // Nothing answered the BIR (total gather failure): there is no broker
-    // to allocate onto, and the no-subscription fallback below would index
-    // an empty pool.
-    report.failure = FailureReason::kGatherFailed;
-    log::warn("plan_from_info: gathered info names no brokers; nothing to plan");
-    return report;
-  }
-  for (AllocBroker& b : pool) b.out_bw *= config_.capacity_headroom;
   std::vector<SubUnit> units = units_from(info);
 
   // ---- Phase 2 ----
@@ -339,42 +374,14 @@ void Croc::set_quarantined_brokers(std::vector<BrokerId> brokers) {
   quarantine_ = std::move(brokers);
 }
 
-void Croc::apply_quarantine(GatheredInfo& info) const {
-  if (quarantine_.empty()) return;
-  std::erase_if(info.brokers, [this](const BrokerInfo& b) {
-    return std::binary_search(quarantine_.begin(), quarantine_.end(), b.id);
-  });
-}
-
-void Croc::splice_reserve(GatheredInfo& info) const {
-  if (reserve_.empty()) return;
-  std::unordered_set<BrokerId> live;
-  live.reserve(info.brokers.size());
-  for (const BrokerInfo& b : info.brokers) live.insert(b.id);
-  for (const BrokerInfo& b : reserve_) {
-    // reserve_ is sorted by id, so the spliced order — and every plan
-    // derived from the pool — is deterministic. A quarantined broker must
-    // not come back through the reserve: its entry covers the same id the
-    // quarantine just removed from the gathered pool.
-    if (live.contains(b.id)) continue;
-    if (std::binary_search(quarantine_.begin(), quarantine_.end(), b.id)) continue;
-    info.brokers.push_back(b);
-  }
-}
-
 ReconfigurationReport Croc::begin_incremental(const GatheredInfo& info) {
   GREENPS_SPAN("croc.begin_incremental");
   end_incremental();
   ReconfigurationReport report;
   report.incremental = true;
+  std::vector<AllocBroker> pool = headroom_pool(info, report, "begin_incremental");
+  if (pool.empty()) return report;
   Rng rng(config_.seed);
-  std::vector<AllocBroker> pool = pool_from(info);
-  if (pool.empty()) {
-    report.failure = FailureReason::kGatherFailed;
-    log::warn("begin_incremental: gathered info names no brokers; nothing to plan");
-    return report;
-  }
-  for (AllocBroker& b : pool) b.out_bw *= config_.capacity_headroom;
 
   auto session = std::make_unique<Session>();
   session->info = info;
@@ -485,83 +492,56 @@ bool structural_reset_needed(const GatheredInfo& prev, const GatheredInfo& now) 
   return false;
 }
 
-}  // namespace
-
-ReconfigurationReport Croc::reconfigure_incremental(const Simulation& sim, BrokerId entry) {
-  GREENPS_SPAN("croc.reconfigure_incremental");
-  const auto t0 = Clock::now();
-  const auto provider = [&sim](BrokerId b) { return sim.broker_info_if_reachable(b); };
-
-  const auto finalize = [&](ReconfigurationReport report, const GatherStats& gather) {
-    report.gather = gather;
-    report.phase1_seconds = seconds_since(t0) - report.phase2_seconds -
-                            report.phase3_seconds - report.grape_seconds;
-    if (report.success) report.migration = migration_cost(sim.deployment(), report.plan);
-    return report;
-  };
-  const auto gather_failed = [&](GatherStats stats) {
-    ReconfigurationReport report;
-    report.incremental = true;
-    report.failure = FailureReason::kGatherFailed;
-    log::warn("incremental phase 1 gathered no broker info (entry broker ",
-              entry.value(), " unreachable?); reconfiguration aborted");
-    return finalize(std::move(report), stats);
-  };
-  const auto bootstrap = [&](GatheredInfo info) {
-    apply_quarantine(info);
-    if (info.brokers.empty()) return gather_failed(info.stats);
-    splice_reserve(info);
-    return finalize(begin_incremental(info), info.stats);
-  };
-
-  if (session_ == nullptr) {
-    GatheredInfo info;
-    {
-      GREENPS_SPAN("croc.phase1.gather");
-      info = gather_information(sim.deployment().topology, entry, provider);
-    }
-    return bootstrap(std::move(info));
-  }
-
-  GatheredInfo info;
-  {
-    GREENPS_SPAN("croc.phase1.gather_incremental");
-    info = gather_information_incremental(
-        sim.deployment().topology, entry, session_->info,
-        [&sim](BrokerId b) { return sim.broker_epoch_if_reachable(b); }, provider);
-  }
-  apply_quarantine(info);
-  if (info.brokers.empty()) return gather_failed(info.stats);
-  splice_reserve(info);
-  if (structural_reset_needed(session_->info, info)) {
-    obs::MetricsRegistry::global().counter("croc.incremental.session_resets").add(1);
-    end_incremental();
-    return bootstrap(std::move(info));
-  }
-
-  // The delta is the diff between what Phase 1 now reports and what the
-  // session converged on.
+// The diff between what Phase 1 now reports and what the session converged
+// on (`live`). live is an unordered set; sorting keeps the delta (and so
+// the reconvergence) independent of its iteration order.
+SubscriptionDelta subscription_delta(const std::unordered_set<SubId>& live,
+                                     const GatheredInfo& now) {
   SubscriptionDelta delta;
   std::unordered_set<SubId> now_ids;
-  now_ids.reserve(info.subscriptions.size());
-  for (const SubscriptionRecord& rec : info.subscriptions) {
+  now_ids.reserve(now.subscriptions.size());
+  for (const SubscriptionRecord& rec : now.subscriptions) {
     now_ids.insert(rec.info.id);
-    if (!session_->live.contains(rec.info.id)) delta.added.push_back(rec);
+    if (!live.contains(rec.info.id)) delta.added.push_back(rec);
   }
-  for (const SubId id : session_->live) {
+  for (const SubId id : live) {
     if (!now_ids.contains(id)) delta.removed.push_back(id);
   }
-  // live is an unordered set; keep the delta (and so the reconvergence)
-  // independent of its iteration order.
   std::sort(delta.removed.begin(), delta.removed.end());
   std::sort(delta.added.begin(), delta.added.end(),
             [](const SubscriptionRecord& a, const SubscriptionRecord& b) {
               return a.info.id < b.info.id;
             });
+  return delta;
+}
 
-  const GatherStats gather = info.stats;
-  session_->info = std::move(info);  // refresh the BIA cache for the next gather
-  return finalize(plan_incremental(delta), gather);
+}  // namespace
+
+ReconfigurationReport Croc::reconfigure_incremental(const Simulation& sim, BrokerId entry) {
+  GREENPS_SPAN("croc.reconfigure_incremental");
+  const auto bootstrap = [this](GatheredInfo& info) { return begin_incremental(info); };
+  if (session_ == nullptr) {
+    return gather_and_plan(
+        sim, entry, /*incremental=*/true, [&] { return gather_reachable(sim, entry); },
+        bootstrap);
+  }
+  const auto gather = [&] {
+    GREENPS_SPAN("croc.phase1.gather_incremental");
+    return gather_information_incremental(
+        sim.deployment().topology, entry, session_->info,
+        [&sim](BrokerId b) { return sim.broker_epoch_if_reachable(b); },
+        [&sim](BrokerId b) { return sim.broker_info_if_reachable(b); });
+  };
+  return gather_and_plan(sim, entry, /*incremental=*/true, gather, [&](GatheredInfo& info) {
+    if (structural_reset_needed(session_->info, info)) {
+      // begin_incremental ends the stale session before it bootstraps.
+      obs::MetricsRegistry::global().counter("croc.incremental.session_resets").add(1);
+      return bootstrap(info);
+    }
+    const SubscriptionDelta delta = subscription_delta(session_->live, info);
+    session_->info = std::move(info);  // refresh the BIA cache for the next gather
+    return plan_incremental(delta);
+  });
 }
 
 }  // namespace greenps

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 
 #include "alloc/cram.hpp"
@@ -103,10 +104,10 @@ class Croc {
   Croc& operator=(Croc&&) noexcept;
 
   // Run all phases against a live simulation, entering the overlay at
-  // `entry`. The returned plan is not applied; pass it to apply_plan().
-  // Tolerates crashed brokers: Phase 1 times out on them (bounded retry)
-  // and plans from whatever answered; a crashed *entry* broker fails the
-  // report with FailureReason::kGatherFailed.
+  // `entry`. The returned plan is not applied; pass it to
+  // apply_plan_transactional(). Tolerates crashed brokers: Phase 1 times
+  // out on them (bounded retry) and plans from whatever answered; a crashed
+  // *entry* broker fails the report with FailureReason::kGatherFailed.
   [[nodiscard]] ReconfigurationReport reconfigure(const Simulation& sim, BrokerId entry);
 
   // Phases 2+3 from already-gathered information (also used by benches that
@@ -188,12 +189,23 @@ class Croc {
  private:
   struct Session;
 
-  // Append reserve entries Phase 1 did not report (parked brokers are not
-  // in the overlay, so the gather never visits them).
-  void splice_reserve(GatheredInfo& info) const;
-  // Drop quarantined brokers from the gathered pool (a suspect broker may
-  // still have answered its BIR).
-  void apply_quarantine(GatheredInfo& info) const;
+  // The Phase 1 front end of reconfigure() and reconfigure_incremental():
+  // run `gather`, drop quarantined brokers, fail with kGatherFailed when no
+  // broker is left, splice the reserve, hand the info to `plan`, and stamp
+  // the report with the gather stats, the Phase 1 seconds and (on success)
+  // the migration cost. `incremental` marks the failure report.
+  [[nodiscard]] ReconfigurationReport gather_and_plan(
+      const Simulation& sim, BrokerId entry, bool incremental,
+      const std::function<GatheredInfo()>& gather,
+      const std::function<ReconfigurationReport(GatheredInfo&)>& plan);
+
+  // The allocator pool of plan_from_info and begin_incremental: every
+  // gathered broker, its bandwidth scaled by the capacity headroom. Empty
+  // when `info` names no broker, and then `report` fails with
+  // kGatherFailed.
+  [[nodiscard]] std::vector<AllocBroker> headroom_pool(const GatheredInfo& info,
+                                                       ReconfigurationReport& report,
+                                                       const char* caller) const;
 
   // Phases 3 + GRAPE from a successful Phase 2 allocation (the shared tail
   // of plan_from_info and the incremental planners).

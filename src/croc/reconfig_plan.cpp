@@ -1,7 +1,6 @@
 #include "croc/reconfig_plan.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "common/logging.hpp"
 
@@ -30,7 +29,7 @@ ApplyResult rollback(const Deployment& old_deployment, FailureReason reason,
   r.steps_applied = applied;
   r.steps_total = total;
   r.deployment = old_deployment;
-  log::warn("apply_plan rolled back (", failure_reason_name(reason), "): ", r.detail);
+  log::warn("apply_plan_transactional rolled back (", failure_reason_name(reason), "): ", r.detail);
   return r;
 }
 
@@ -136,12 +135,6 @@ ApplyResult apply_plan_transactional(const Deployment& old_deployment,
   r.steps_total = total;
   r.deployment = std::move(next);
   return r;
-}
-
-Deployment apply_plan(const Deployment& old_deployment, const ReconfigurationPlan& plan) {
-  ApplyResult r = apply_plan_transactional(old_deployment, plan);
-  assert(r.success);
-  return std::move(r.deployment);
 }
 
 }  // namespace greenps

@@ -53,23 +53,18 @@ struct ApplyResult {
   Deployment deployment;
 };
 
-// Transactional apply: validate the plan against the current deployment
-// (every plan broker has a capacity entry, the overlay is a tree containing
-// the root, every client target is in the overlay), then stage it step by
-// step — commission brokers, attach publishers, attach subscribers —
-// probing each target broker's health before touching it. Any validation
-// error or mid-apply crash rolls back to `old_deployment`.
+// Build the new deployment: the plan's overlay and client placements with
+// the old deployment's broker capacities and client/workload identities;
+// clients without an explicit placement attach to the root. The apply is
+// transactional: validate the plan against the current deployment (every
+// plan broker has a capacity entry, the overlay is a tree containing the
+// root, every client target is in the overlay), then stage it step by step
+// — commission brokers, attach publishers, attach subscribers — probing
+// each target broker's health before touching it. Any validation error or
+// mid-apply crash rolls back to `old_deployment`, so callers must check
+// ApplyResult::success.
 [[nodiscard]] ApplyResult apply_plan_transactional(const Deployment& old_deployment,
                                                    const ReconfigurationPlan& plan,
                                                    const BrokerHealthProbe& probe = {});
-
-// Build the new deployment: the plan's overlay and client placements with
-// the old deployment's broker capacities and client/workload identities.
-// Clients without an explicit placement attach to the root. Thin wrapper
-// over apply_plan_transactional (no probe) that asserts success — callers
-// that can face an invalid plan or dying brokers should use the
-// transactional form and inspect ApplyResult.
-[[nodiscard]] Deployment apply_plan(const Deployment& old_deployment,
-                                    const ReconfigurationPlan& plan);
 
 }  // namespace greenps

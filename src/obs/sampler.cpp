@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <cstdlib>
 
 #include "obs/report.hpp"
 
@@ -63,18 +62,6 @@ bool TimeSeriesSampler::write_csv(const std::string& path) const {
     std::printf("wrote %s (%zu sample rows)\n", path.c_str(), rows_.size());
   }
   return ok;
-}
-
-std::int64_t TimeSeriesSampler::interval_us_from_env() {
-  const char* v = std::getenv("GREENPS_OBS_SAMPLE_MS");
-  if (v == nullptr || *v == '\0') return 0;
-  const long ms = std::strtol(v, nullptr, 10);
-  return ms > 0 ? static_cast<std::int64_t>(ms) * 1000 : 0;
-}
-
-std::string TimeSeriesSampler::path_from_env() {
-  const char* v = std::getenv("GREENPS_OBS_SAMPLES");
-  return (v != nullptr && *v != '\0') ? v : "obs_samples.csv";
 }
 
 }  // namespace greenps::obs

@@ -2,9 +2,9 @@
 //
 // Collects periodic per-entity snapshots (per-broker message rates, queue
 // depth, bandwidth utilization) keyed by sim time and renders them as CSV
-// for offline plotting. The simulator drives it from the event loop when
-// GREENPS_OBS_SAMPLE_MS is set; it stays completely inert otherwise so
-// event counts and allocation decisions remain bit-identical.
+// for offline plotting. The simulator drives it from the event loop once
+// Simulation::set_sample_interval_ms enables it; it stays completely inert
+// otherwise so event counts and allocation decisions remain bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -42,12 +42,6 @@ class TimeSeriesSampler {
   // Stable-sort rows by (time, key): canonical order after absorbing
   // shards, identical to what a single-shard run appends naturally.
   void sort_rows();
-
-  // GREENPS_OBS_SAMPLE_MS parsed as a sim-time sampling interval; 0 when
-  // unset/invalid, meaning sampling is disabled.
-  [[nodiscard]] static std::int64_t interval_us_from_env();
-  // GREENPS_OBS_SAMPLES output path, default "obs_samples.csv".
-  [[nodiscard]] static std::string path_from_env();
 
  private:
   std::string key_column_;

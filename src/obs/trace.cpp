@@ -133,18 +133,6 @@ bool write_file(const std::string& path, const std::string& content) {
 
 void stop_at_exit() { trace_stop(); }
 
-// GREENPS_TRACE=<path> starts the tracer before main() runs, so every
-// binary in the repo (benches, examples, tests) is traceable with no code
-// changes.
-struct EnvInit {
-  EnvInit() {
-    if (const char* p = std::getenv("GREENPS_TRACE"); p != nullptr && *p != '\0') {
-      trace_start(p);
-    }
-  }
-};
-const EnvInit g_env_init;
-
 }  // namespace
 
 bool trace_enabled() { return registry().enabled.load(std::memory_order_relaxed); }

@@ -6,10 +6,10 @@
 //
 // Tracing is OFF by default and costs one relaxed atomic load per
 // disabled GREENPS_SPAN, so the macros can sit on warm paths. Enable it
-// with the environment variable GREENPS_TRACE=<path> (auto-started before
-// main, flushed at process exit) or programmatically with trace_start() /
-// trace_stop(). Compiling with -DGREENPS_OBS_DISABLE removes the macros
-// entirely for zero-footprint builds.
+// with trace_start() (flushed by trace_stop() or at process exit); the
+// bench binaries call it when GREENPS_TRACE=<path> is set. Compiling with
+// -DGREENPS_OBS_DISABLE removes the macros entirely for zero-footprint
+// builds.
 //
 // Event names must have static storage duration (string literals): the
 // tracer stores the pointer, not a copy.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "common/logging.hpp"
@@ -46,20 +45,11 @@ std::uint64_t drop_seed(BrokerId b) {
 
 }  // namespace
 
-std::size_t SimOptions::resolve_workers(std::size_t requested) {
-  if (requested > 0) return requested;
-  if (const char* v = std::getenv("GREENPS_SIM_WORKERS"); v != nullptr && *v != '\0') {
-    const long n = std::strtol(v, nullptr, 10);
-    if (n > 0) return static_cast<std::size_t>(n);
-  }
-  return 1;
-}
-
 Simulation::Simulation(Deployment deployment, StockQuoteGenerator quotes, NetworkConfig net,
                        SimOptions opts)
     : quotes_(std::move(quotes)),
       net_(net),
-      workers_(SimOptions::resolve_workers(opts.workers)) {
+      workers_(std::max<std::size_t>(opts.workers, 1)) {
   redeploy(std::move(deployment));
 }
 
@@ -833,9 +823,6 @@ void Simulation::run(double duration_s) {
   // queued; a subsequent run() continues seamlessly.
   measured_s_ += duration_s;
   rebuild_master_state();
-  if (sampler_csv_ && sample_interval_us_ > 0 && sampler_.row_count() > 0) {
-    sampler_.write_csv(obs::TimeSeriesSampler::path_from_env());
-  }
 }
 
 void Simulation::set_publisher_rate(ClientId client, MsgRate rate_msg_s) {

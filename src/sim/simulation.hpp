@@ -7,8 +7,8 @@
 // subscriptions propagated toward intersecting advertisements). CBCs profile
 // deliveries, so after a measurement run CROC can gather real BrokerInfo.
 //
-// The event loop shards across worker threads (SimOptions::workers /
-// GREENPS_SIM_WORKERS): brokers are partitioned onto per-worker event queues
+// The event loop shards across worker threads (SimOptions::workers):
+// brokers are partitioned onto per-worker event queues
 // advanced in conservative lookahead windows (sim/sharded_engine.hpp), with
 // content-derived event keys making every result bit-identical to the
 // single-threaded run for any worker count.
@@ -66,14 +66,12 @@ struct Deployment {
 
 // How the simulator parallelizes its event loop.
 struct SimOptions {
-  // Worker threads (= event-queue shards). 0 resolves GREENPS_SIM_WORKERS
-  // from the environment, defaulting to 1 (single-threaded). The effective
-  // count is clamped to the broker count and forced to 1 when the workload
-  // cannot be sharded safely (zero link latency, or publishers sharing a
-  // symbol or advertisement stream); results are identical either way.
-  std::size_t workers = 0;
-
-  [[nodiscard]] static std::size_t resolve_workers(std::size_t requested);
+  // Worker threads (= event-queue shards); 0 counts as 1 (single-threaded).
+  // The effective count is clamped to the broker count and forced to 1 when
+  // the workload cannot be sharded safely (zero link latency, or publishers
+  // sharing a symbol or advertisement stream); results are identical either
+  // way.
+  std::size_t workers = 1;
 };
 
 class Simulation {
@@ -104,17 +102,16 @@ class Simulation {
   // the publisher's next scheduled publication — a pure data change, so
   // results stay bit-identical for any worker count. The rate must be
   // positive: a publisher's event chain cannot be paused mid-epoch. Rates
-  // live on the deployment, so they survive redeploys (apply_plan copies
-  // the old publisher specs). Traffic shapers (diurnal schedules, flash
+  // live on the deployment, so they survive redeploys (the plan apply
+  // copies the old publisher specs). Traffic shapers (diurnal schedules, flash
   // crowds) drive this between run() slices.
   void set_publisher_rate(ClientId client, MsgRate rate_msg_s);
 
   // --- time-series sampling ---
-  // Programmatic equivalent of GREENPS_OBS_SAMPLE_MS: enable (or retune)
-  // per-broker sampling without touching the environment and without the
-  // CSV side channel (the CSV is still written when the env var set the
-  // interval). <= 0 disables. Takes effect at the next run() if sampling is
-  // not yet scheduled this epoch, else at the next redeploy.
+  // Enable (or retune) per-broker sampling, off by default; <= 0 disables.
+  // Takes effect at the next run() if sampling is not yet scheduled this
+  // epoch, else at the next redeploy. Render the rows with
+  // samples().write_csv().
   void set_sample_interval_ms(double ms);
   // Accumulated sample rows, in canonical (time, broker) order; rows are
   // appended by run() and survive redeploys, so consumers (the elastic
@@ -303,7 +300,7 @@ class Simulation {
   // (feeds derived retransmit caps in the next epoch).
   void snapshot_profiled_rates();
   void derive_retransmit_caps(const FaultSchedule& schedule);
-  // Periodic per-broker time-series sampling (GREENPS_OBS_SAMPLE_MS): one
+  // Periodic per-broker time-series sampling (set_sample_interval_ms): one
   // self-rescheduling event per shard snapshots message rates, output-queue
   // backlog and bandwidth utilization. Inert (no events scheduled) when
   // disabled, so the event stream — and thus every allocation decision —
@@ -382,11 +379,8 @@ class Simulation {
 
   obs::TimeSeriesSampler sampler_{
       "broker", {"in_rate_msg_s", "out_rate_msg_s", "queue_backlog_s", "bw_utilization"}};
-  SimTime sample_interval_us_ = obs::TimeSeriesSampler::interval_us_from_env();
+  SimTime sample_interval_us_ = 0;
   bool sampler_scheduled_ = false;
-  // CSV rendering is tied to the env-var path (offline plotting); callers
-  // of set_sample_interval_ms get the in-memory rows only.
-  bool sampler_csv_ = sample_interval_us_ > 0;
 };
 
 }  // namespace greenps

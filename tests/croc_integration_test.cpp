@@ -64,7 +64,9 @@ TEST_P(CrocAlgorithmTest, ReconfiguredSystemIsValidAndDeliners) {
   }
 
   // Apply and re-run: the system must still deliver everything.
-  sim.redeploy(apply_plan(sim.deployment(), report.plan));
+  ApplyResult applied = apply_plan_transactional(sim.deployment(), report.plan);
+  ASSERT_TRUE(applied.success) << applied.detail;
+  sim.redeploy(std::move(applied.deployment));
   sim.run(60.0);
   const auto after = sim.summarize();
   EXPECT_GT(after.deliveries, 0u);
@@ -103,7 +105,9 @@ TEST(CrocIntegration, CramReducesMessageRateVersusManual) {
   Croc croc(cfg);
   const auto report = croc.reconfigure(sim, BrokerId{0});
   ASSERT_TRUE(report.success);
-  sim.redeploy(apply_plan(sim.deployment(), report.plan));
+  ApplyResult applied = apply_plan_transactional(sim.deployment(), report.plan);
+  ASSERT_TRUE(applied.success) << applied.detail;
+  sim.redeploy(std::move(applied.deployment));
   sim.run(90.0);
   const auto after = sim.summarize();
   // The headline effect: both the per-broker and the system-wide message
@@ -151,7 +155,9 @@ TEST(CrocIntegration, ApplyPlanKeepsWorkloadIdentity) {
   const auto report = croc.reconfigure(sim, BrokerId{0});
   ASSERT_TRUE(report.success);
   const Deployment& old_dep = sim.deployment();
-  const Deployment next = apply_plan(old_dep, report.plan);
+  const ApplyResult applied = apply_plan_transactional(old_dep, report.plan);
+  ASSERT_TRUE(applied.success) << applied.detail;
+  const Deployment& next = applied.deployment;
   ASSERT_EQ(next.publishers.size(), old_dep.publishers.size());
   ASSERT_EQ(next.subscribers.size(), old_dep.subscribers.size());
   for (std::size_t i = 0; i < next.publishers.size(); ++i) {

@@ -93,7 +93,9 @@ TEST_P(PlanInvariants, HoldOnRandomScenario) {
             sim.deployment().topology.broker_count() - plan.overlay.broker_count());
 
   // Applying the plan yields a runnable deployment.
-  sim.redeploy(apply_plan(sim.deployment(), plan));
+  ApplyResult applied = apply_plan_transactional(sim.deployment(), plan);
+  ASSERT_TRUE(applied.success) << applied.detail;
+  sim.redeploy(std::move(applied.deployment));
   sim.run(45.0);
   EXPECT_GT(sim.metrics().deliveries(), 0u);
 }

@@ -113,7 +113,9 @@ TEST(DeliveryOracle, ReconfiguredDeploymentStaysExact) {
       if (lp.profile.adv == p.adv) floors[p.adv] = lp.profile.last_seq + 1;
     }
   }
-  sim.redeploy(apply_plan(sim.deployment(), report.plan));
+  ApplyResult applied = apply_plan_transactional(sim.deployment(), report.plan);
+  ASSERT_TRUE(applied.success) << applied.detail;
+  sim.redeploy(std::move(applied.deployment));
   sim.run(120.0);
   check_profiles_against_oracle(config, sim, /*min_coverage=*/0.85, floors);
 }

@@ -80,7 +80,9 @@ TEST(EdgeCases, SingleBrokerScenarioReconfigures) {
   ASSERT_TRUE(report.success);
   EXPECT_EQ(report.allocated_brokers, 1u);
   EXPECT_EQ(report.plan.root, BrokerId{0});
-  sim.redeploy(apply_plan(sim.deployment(), report.plan));
+  ApplyResult applied = apply_plan_transactional(sim.deployment(), report.plan);
+  ASSERT_TRUE(applied.success) << applied.detail;
+  sim.redeploy(std::move(applied.deployment));
   sim.run(30.0);
   EXPECT_GT(sim.metrics().deliveries(), 0u);
 }
@@ -98,7 +100,9 @@ TEST(EdgeCases, ReconfigureBeforeAnyTraffic) {
   Croc croc(CrocConfig{});
   const auto report = croc.reconfigure(sim, BrokerId{0});
   ASSERT_TRUE(report.success);
-  sim.redeploy(apply_plan(sim.deployment(), report.plan));
+  ApplyResult applied = apply_plan_transactional(sim.deployment(), report.plan);
+  ASSERT_TRUE(applied.success) << applied.detail;
+  sim.redeploy(std::move(applied.deployment));
   sim.run(30.0);
   EXPECT_GT(sim.metrics().deliveries(), 0u);
 }
@@ -158,7 +162,9 @@ TEST(EdgeCases, SaturatedDeploymentMeasuresPoorlyButStaysUp) {
   Croc croc(CrocConfig{});
   const auto report = croc.reconfigure(sim, BrokerId{0});
   if (report.success) {
-    sim.redeploy(apply_plan(sim.deployment(), report.plan));
+    ApplyResult applied = apply_plan_transactional(sim.deployment(), report.plan);
+    ASSERT_TRUE(applied.success) << applied.detail;
+    sim.redeploy(std::move(applied.deployment));
   }
   sim.run(10.0);
   EXPECT_GT(sim.metrics().publications(), 0u);

@@ -228,21 +228,16 @@ TEST(TimeSeriesSampler, SimulationEmitsSamplesWhenEnabled) {
 #if defined(GREENPS_OBS_DISABLE)
   GTEST_SKIP() << "observability compiled out";
 #endif
-  // The sampler knobs are env-driven and read at Simulation construction.
   ScenarioConfig c;
   c.num_brokers = 6;
   c.num_publishers = 2;
   c.subs_per_publisher = 4;
   c.seed = 5;
   const std::string path = "obs_sampler_test.csv";
-  setenv("GREENPS_OBS_SAMPLE_MS", "500", 1);
-  setenv("GREENPS_OBS_SAMPLES", path.c_str(), 1);
-  {
-    Simulation sim = make_simulation(c);
-    sim.run(5.0);
-  }
-  unsetenv("GREENPS_OBS_SAMPLE_MS");
-  unsetenv("GREENPS_OBS_SAMPLES");
+  Simulation sim = make_simulation(c);
+  sim.set_sample_interval_ms(500);
+  sim.run(5.0);
+  ASSERT_TRUE(sim.samples().write_csv(path));
   const std::string csv = slurp(path);
   ASSERT_FALSE(csv.empty());
   EXPECT_EQ(csv.rfind("time_s,broker,", 0), 0u);
@@ -253,7 +248,15 @@ TEST(TimeSeriesSampler, SimulationEmitsSamplesWhenEnabled) {
 }
 
 TEST(TimeSeriesSampler, DisabledByDefault) {
-  EXPECT_EQ(obs::TimeSeriesSampler::interval_us_from_env(), 0);
+  ScenarioConfig c;
+  c.num_brokers = 6;
+  c.num_publishers = 2;
+  c.subs_per_publisher = 4;
+  c.seed = 5;
+  Simulation sim = make_simulation(c);
+  sim.run(5.0);
+  EXPECT_GT(sim.metrics().publications(), 0u);
+  EXPECT_EQ(sim.samples().row_count(), 0u);
 }
 
 // ---- tracer ----

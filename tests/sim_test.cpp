@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <string>
 
+#include "alloc/cram.hpp"
 #include "common/epoch.hpp"
 #include "language/parser.hpp"
 #include "sim/event_queue.hpp"
@@ -317,14 +321,6 @@ TEST(ShardPartitioner, ClampsAndStaysDeterministic) {
   EXPECT_EQ(a.cross_links, b.cross_links);
 }
 
-TEST(SimOptionsTest, ResolveWorkersReadsEnvironment) {
-  ASSERT_EQ(setenv("GREENPS_SIM_WORKERS", "6", 1), 0);
-  EXPECT_EQ(SimOptions::resolve_workers(0), 6u);
-  EXPECT_EQ(SimOptions::resolve_workers(3), 3u);  // explicit request wins
-  ASSERT_EQ(unsetenv("GREENPS_SIM_WORKERS"), 0);
-  EXPECT_EQ(SimOptions::resolve_workers(0), 1u);  // default: single-threaded
-}
-
 // --- sharded-simulator determinism matrix -------------------------------
 //
 // The contract under test: SimSummary (and every counter feeding it) is
@@ -468,6 +464,39 @@ TEST(ShardedSim, SummaryBitIdenticalAcrossWorkerCounts) {
       }
     }
   }
+}
+
+// The library takes every knob from a field; only the bench binaries read
+// GREENPS_* variables (bench/bench_util). Variables left set in the
+// environment must not change a library run.
+TEST(SimOptionsTest, LibraryIgnoresEnvironment) {
+  const std::string csv = "sim_test_ignored_samples.csv";
+  std::remove(csv.c_str());
+  const char* const vars[] = {"GREENPS_SIM_WORKERS", "GREENPS_CRAM_THREADS",
+                              "GREENPS_CRAM_REBASELINE", "GREENPS_OBS_SAMPLE_MS",
+                              "GREENPS_OBS_SAMPLES"};
+  ASSERT_EQ(setenv("GREENPS_SIM_WORKERS", "4", 1), 0);
+  ASSERT_EQ(setenv("GREENPS_CRAM_THREADS", "3", 1), 0);
+  ASSERT_EQ(setenv("GREENPS_CRAM_REBASELINE", "5", 1), 0);
+  ASSERT_EQ(setenv("GREENPS_OBS_SAMPLE_MS", "500", 1), 0);
+  ASSERT_EQ(setenv("GREENPS_OBS_SAMPLES", csv.c_str(), 1), 0);
+
+  // Four workers shard this net (ShardedSim above); the default is one.
+  TestNet net = matrix_net(13, 7);
+  Simulation sim = net.make();
+  sim.run(3.0);
+  const std::size_t shards = sim.shard_count();
+  const std::size_t sample_rows = sim.samples().row_count();
+  const CramOptions cram = resolve_cram_options(CramOptions{});
+  for (const char* v : vars) ASSERT_EQ(unsetenv(v), 0);
+
+  EXPECT_EQ(SimOptions{}.workers, 1u);
+  EXPECT_EQ(shards, 1u);
+  EXPECT_GT(sim.summarize().deliveries, 0u);
+  EXPECT_EQ(sample_rows, 0u);
+  EXPECT_FALSE(std::ifstream(csv).good());
+  EXPECT_EQ(cram.threads, CramOptions{}.threads);
+  EXPECT_EQ(cram.rebaseline_interval, CramOptions{}.rebaseline_interval);
 }
 
 TEST(ShardedSim, PathGraphCrossShardHeavyMatchesSingleThread) {
