@@ -1,11 +1,11 @@
 // E10 — Microbenchmarks of the core data structures (google-benchmark):
-// windowed bit vectors, closeness metrics, profile algebra, poset insertion
-// and the broker matching engine — plus an always-run concurrent-matching
-// throughput section (eq-only and range-only suites at 1/2/4/8 reader
-// threads against one published routing snapshot) that verifies exact
-// match-set equality against the single-thread oracle and emits
-// BENCH_match.json. GREENPS_TINY=1 shrinks the table and iteration counts
-// to smoke scale.
+// windowed bit vectors, closeness metrics, profile algebra, poset insertion,
+// the broker matching engine and its routing decision — plus an always-run
+// concurrent-matching throughput section (eq-only and range-only suites at
+// 1/2/4/8 reader threads against one published routing snapshot) that
+// verifies exact match-set equality against the single-thread oracle and
+// emits BENCH_match.json. GREENPS_TINY=1 shrinks the table and iteration
+// counts to smoke scale.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -396,6 +396,54 @@ void BM_MatchingEngineRangeOnly(benchmark::State& state) {
   state.SetLabel(std::to_string(engine.size()) + " filters");
 }
 BENCHMARK(BM_MatchingEngineRangeOnly)->Arg(2000)->Arg(8000);
+
+// One broker's routing decision on the simulator's path: an SRT with local
+// subscribers plus remote subscriptions spread over `neighbors` links, one
+// advertisement per symbol, and a conforming quote arriving on neighbor 0.
+// The `walks` counter is filter evaluations per route.
+void BM_RouteScopedFanout(benchmark::State& state) {
+  const auto neighbors = static_cast<std::uint64_t>(state.range(0));
+  constexpr std::size_t kFilters = 8000;
+  constexpr std::size_t kSymbols = 40;
+  Rng rng(9);
+  StockQuoteGenerator quotes(StockQuoteGenerator::Config{}, rng.fork());
+  SubscriptionGenerator subs(SubscriptionGenerator::Config{}, rng.fork());
+  SubscriptionRoutingTable srt;
+  std::vector<std::string> symbols;
+  std::uint64_t id = 0;
+  for (std::size_t i = 0; i < kSymbols; ++i) {
+    symbols.push_back("SYM" + std::to_string(i));
+    Filter adv;
+    adv.add(Predicate{"class", Op::kEq, Value(std::string("STOCK"))});
+    adv.add(Predicate{"symbol", Op::kEq, Value(symbols.back())});
+    srt.register_advertisement(AdvId{i}, adv);
+    for (const Filter& f : subs.batch(symbols.back(), kFilters / kSymbols, quotes)) {
+      // One in eight is a local subscriber; the rest go round-robin.
+      const Hop hop = id % 8 == 0 ? Hop::to_client(ClientId{id})
+                                  : Hop::to_broker(BrokerId{id % neighbors});
+      srt.insert(SubId{id++}, f, hop);
+    }
+  }
+  srt.publish();
+  std::vector<Publication> pubs;
+  for (std::size_t k = 0; k < 10 * kSymbols; ++k) {
+    pubs.push_back(quotes.next(symbols[k % kSymbols]));
+    pubs.back().set_header(AdvId{k % kSymbols}, 1);
+  }
+  const BrokerId arrival{0};
+  SubscriptionRoutingTable::MatchResult out;
+  MatchScratch scratch;
+  MatchingEngine::reset_match_walks();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    srt.match_into(pubs[i++ % pubs.size()], &arrival, out, scratch);
+    benchmark::DoNotOptimize(out.forward_to.size());
+  }
+  state.counters["walks"] = benchmark::Counter(static_cast<double>(MatchingEngine::match_walks()),
+                                               benchmark::Counter::kAvgIterations);
+  state.SetLabel(std::to_string(srt.filter_count()) + " filters");
+}
+BENCHMARK(BM_RouteScopedFanout)->Arg(2)->Arg(4)->Arg(8)->ArgName("neighbors");
 
 // Event-queue throughput: schedule a burst, drain it, repeat. The Action is
 // an inline-storage callable, so this path never heap-allocates per event.

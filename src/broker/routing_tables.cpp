@@ -2,11 +2,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 
 namespace greenps {
 
 namespace {
 std::atomic<bool> g_adv_pruning_enabled{true};
+
+// Sorted with no duplicates (debug check of the scoped path's ordering).
+template <typename T>
+[[maybe_unused]] bool strictly_ascending(const std::vector<T>& v) {
+  return std::adjacent_find(v.begin(), v.end(),
+                            [](const T& a, const T& b) { return !(a < b); }) == v.end();
+}
 }  // namespace
 
 void SubscriptionRoutingTable::set_adv_pruning_enabled(bool enabled) {
@@ -137,15 +145,36 @@ SubscriptionRoutingTable::Snapshot* SubscriptionRoutingTable::build_snapshot() c
   s->hops.reserve(s->engine.subs.size());
   for (const auto& sub : s->engine.subs) s->hops.push_back(hops_.at(SubId{sub.handle}));
   s->advs.reserve(advs_.size());
+  std::vector<std::pair<BrokerId, std::uint32_t>> remote;  // reused across scopes
   for (const auto& [id, scope] : advs_) {
     Snapshot::SnapScope snap_scope;
     snap_scope.compiled = scope.compiled;
     snap_scope.candidates.reserve(scope.candidates.size());
+    remote.clear();
     for (const MatchingEngine::Handle h : scope.candidates) {
-      snap_scope.candidates.push_back(s->engine.dense_index(h));
+      const std::uint32_t idx = s->engine.dense_index(h);
+      const Hop& hop = s->hops[idx];
+      if (hop.kind == Hop::Kind::kClient) {
+        snap_scope.candidates.push_back(idx);
+      } else {
+        remote.emplace_back(hop.broker, idx);
+      }
     }
+    snap_scope.local_end = static_cast<std::uint32_t>(snap_scope.candidates.size());
+    // Group by neighbor; within a group, keep ascending handle order.
+    std::sort(remote.begin(), remote.end());
+    snap_scope.group_begin = static_cast<std::uint32_t>(s->groups.size());
+    for (const auto& [broker, idx] : remote) {
+      if (s->groups.size() == snap_scope.group_begin || s->groups.back().broker != broker) {
+        s->groups.push_back({broker, 0});
+      }
+      snap_scope.candidates.push_back(idx);
+      s->groups.back().end = static_cast<std::uint32_t>(snap_scope.candidates.size());
+    }
+    snap_scope.group_end = static_cast<std::uint32_t>(s->groups.size());
     s->advs.emplace(id, std::move(snap_scope));
   }
+  s->groups.shrink_to_fit();
   return s;
 }
 
@@ -169,15 +198,6 @@ std::uint64_t SubscriptionRoutingTable::match_into(const Publication& pub,
   EpochGuard guard;
   const Snapshot* snap = snap_.load();
   if (snap == nullptr) return 0;
-  auto route = [&](std::uint32_t idx) {
-    const Hop& hop = snap->hops[idx];
-    if (hop.kind == Hop::Kind::kClient) {
-      result.deliver.emplace_back(SubId{snap->engine.subs[idx].handle}, hop.client);
-    } else {
-      if (exclude != nullptr && hop.broker == *exclude) return;
-      result.forward_to.push_back(hop.broker);
-    }
-  };
   const Snapshot::SnapScope* scope = nullptr;
   if (adv_pruning_enabled() && pub.adv_id().valid()) {
     const auto it = snap->advs.find(pub.adv_id());
@@ -186,16 +206,46 @@ std::uint64_t SubscriptionRoutingTable::match_into(const Publication& pub,
     if (it != snap->advs.end() && it->second.compiled.matches(pub)) scope = &it->second;
   }
   if (scope != nullptr) {
-    // Advertisement-scoped fast path: the candidate list is one dense pass,
-    // with its walks credited up front.
-    MatchingEngine::add_match_walks(scope->candidates.size());
-    for (const std::uint32_t idx : scope->candidates) {
-      if (snap->engine.subs[idx].filter.matches(pub)) route(idx);
+    // Advertisement-scoped fast path. Every local candidate is matched; each
+    // neighbor group stops at its first matching filter, and the arrival
+    // link's group is skipped. Locals ascend by handle and groups by broker,
+    // so both lists come out sorted and unique without a sort.
+    const std::vector<std::uint32_t>& cands = scope->candidates;
+    std::size_t walks = scope->local_end;
+    for (std::uint32_t i = 0; i < scope->local_end; ++i) {
+      const std::uint32_t idx = cands[i];
+      if (snap->engine.subs[idx].filter.matches(pub)) {
+        result.deliver.emplace_back(SubId{snap->engine.subs[idx].handle}, snap->hops[idx].client);
+      }
     }
-  } else {
-    scratch.dense.clear();
-    snap->engine.match_into(pub, scratch.dense);
-    for (const std::uint32_t idx : scratch.dense) route(idx);
+    std::uint32_t begin = scope->local_end;
+    for (std::uint32_t g = scope->group_begin; g < scope->group_end; ++g) {
+      const Snapshot::HopGroup& group = snap->groups[g];
+      if (exclude == nullptr || group.broker != *exclude) {
+        for (std::uint32_t i = begin; i < group.end; ++i) {
+          ++walks;
+          if (snap->engine.subs[cands[i]].filter.matches(pub)) {
+            result.forward_to.push_back(group.broker);
+            break;
+          }
+        }
+      }
+      begin = group.end;
+    }
+    MatchingEngine::add_match_walks(walks);
+    assert(strictly_ascending(result.forward_to));
+    assert(strictly_ascending(result.deliver));
+    return snap->version;
+  }
+  scratch.dense.clear();
+  snap->engine.match_into(pub, scratch.dense);
+  for (const std::uint32_t idx : scratch.dense) {
+    const Hop& hop = snap->hops[idx];
+    if (hop.kind == Hop::Kind::kClient) {
+      result.deliver.emplace_back(SubId{snap->engine.subs[idx].handle}, hop.client);
+    } else if (exclude == nullptr || hop.broker != *exclude) {
+      result.forward_to.push_back(hop.broker);
+    }
   }
   // Deterministic ordering for reproducible simulations; forwarding dedup is
   // one sort + unique instead of a quadratic std::find per hop.

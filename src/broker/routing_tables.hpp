@@ -81,7 +81,9 @@ class SubscriptionRoutingTable {
   // conservative candidate set per advertisement — routing tables are
   // static during a simulation run — and matches only those candidates; the
   // snapshot stores them as dense indices, so the fast path runs without
-  // any per-candidate hash lookup. Non-conforming publications fall back to
+  // any per-candidate hash lookup, and groups them by next hop: every local
+  // subscriber is matched, while a neighbor's copy is decided by the first
+  // matching filter of its group. Non-conforming publications fall back to
   // the full engine match, so registration never changes the match set.
   //
   // Scopes are indexed by (attribute, equality key), with a count of scopes
@@ -138,16 +140,30 @@ class SubscriptionRoutingTable {
 
   // Immutable published table: the engine snapshot (dense subs in ascending
   // handle order) plus a hop per dense sub and the advertisement scopes
-  // with candidates as dense indices.
+  // with candidates as dense indices, grouped by next hop.
   struct Snapshot {
+    // A scope's candidates grouped by hop, in one flat array: first the
+    // local subscribers, matched one by one (each is a delivery), then one
+    // range per neighbor broker, decided by its first matching filter. The
+    // scope's groups are groups[group_begin, group_end) of the snapshot, in
+    // ascending broker order; group g spans candidates [previous end, g.end),
+    // the first from local_end.
+    struct HopGroup {
+      BrokerId broker;
+      std::uint32_t end;  // one past the group's last index in `candidates`
+    };
     struct SnapScope {
       CompiledFilter compiled;
-      std::vector<std::uint32_t> candidates;  // dense, ascending handle
+      std::vector<std::uint32_t> candidates;  // dense; ascending handle per part
+      std::uint32_t local_end = 0;            // candidates[0, local_end) are local
+      std::uint32_t group_begin = 0;
+      std::uint32_t group_end = 0;
     };
 
     MatchingEngine::Snapshot engine;
     std::vector<Hop> hops;  // parallel to engine.subs
     std::unordered_map<AdvId, SnapScope> advs;
+    std::vector<HopGroup> groups;  // every scope's, one range per scope
     std::uint64_t version = 0;
   };
 

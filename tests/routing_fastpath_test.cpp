@@ -221,6 +221,110 @@ TEST(SubscriptionRoutingTable, PruningReducesMatchWalks) {
   EXPECT_EQ(brute_walks, 200u);   // every live filter
 }
 
+// A YHOO quote filter matching publications with `low` below `bound`.
+Filter low_below(double bound) {
+  Filter f = symbol_filter("YHOO");
+  f.add(Predicate{"low", Op::kLt, Value(bound)});
+  return f;
+}
+
+Publication yhoo_quote(double low) {
+  Publication pub;
+  pub.set_attr("class", Value(std::string("STOCK")));
+  pub.set_attr("symbol", Value(std::string("YHOO")));
+  pub.set_attr("low", Value(low));
+  pub.set_header(AdvId{1}, 1);
+  return pub;
+}
+
+// The scoped path groups candidates by next hop: every local subscriber is
+// matched, a neighbor's group stops at its first matching filter, and the
+// arrival link's group is never walked. With the quote at low = 5, the
+// filters low_below(9) match and low_below(1) do not.
+TEST(SubscriptionRoutingTable, HopGroupsDecideEachNeighbourOnce) {
+  ToggleGuard guard;
+  SubscriptionRoutingTable::set_adv_pruning_enabled(true);
+  MatchingEngine::set_index_enabled(true);
+  using Result = SubscriptionRoutingTable::MatchResult;
+  const auto walked = [](const SubscriptionRoutingTable& srt, const Publication& pub,
+                         const BrokerId* exclude, Result& out) {
+    MatchingEngine::reset_match_walks();
+    out = srt.match(pub, exclude);
+    return MatchingEngine::match_walks();
+  };
+  Filter adv = symbol_filter("YHOO");
+  adv.add(Predicate{"low", Op::kGe, Value(0.0)});
+  SubscriptionRoutingTable srt;
+  srt.register_advertisement(AdvId{1}, adv);
+  const Filter hit = low_below(9.0);
+  const Filter miss = low_below(1.0);
+  const auto client = [](std::uint64_t id) { return Hop::to_client(ClientId{id}); };
+  const auto broker = [](std::uint64_t id) { return Hop::to_broker(BrokerId{id}); };
+  // Locals 1 (hit), 2 (miss), 3 (hit).
+  srt.insert(SubId{1}, hit, client(1));
+  srt.insert(SubId{2}, miss, client(2));
+  srt.insert(SubId{3}, hit, client(3));
+  // Neighbor 10: decided only by its last filter.
+  srt.insert(SubId{10}, miss, broker(10));
+  srt.insert(SubId{11}, miss, broker(10));
+  srt.insert(SubId{12}, hit, broker(10));
+  // Neighbor 20: no match, so the whole group is walked.
+  srt.insert(SubId{20}, miss, broker(20));
+  srt.insert(SubId{21}, miss, broker(20));
+  // Neighbor 30: decided by its first filter, unless it is the arrival link.
+  srt.insert(SubId{30}, hit, broker(30));
+  srt.insert(SubId{31}, hit, broker(30));
+  // Neighbor 40: handles interleaved with the other hops'.
+  srt.insert(SubId{5}, hit, broker(40));
+  srt.insert(SubId{13}, hit, broker(40));
+  // Outside the scope (another symbol): never a candidate.
+  srt.insert(SubId{50}, symbol_filter("GOOG"), broker(20));
+  srt.insert(SubId{51}, symbol_filter("GOOG"), client(51));
+  srt.publish();
+
+  const Publication pub = yhoo_quote(5.0);
+  const BrokerId arrival{30};
+  Result got;
+  EXPECT_EQ(walked(srt, pub, nullptr, got), 3u + 3u + 2u + 1u + 1u);
+  EXPECT_EQ(got.forward_to, (std::vector<BrokerId>{BrokerId{10}, BrokerId{30}, BrokerId{40}}));
+  EXPECT_EQ(got.deliver, (std::vector<std::pair<SubId, ClientId>>{{SubId{1}, ClientId{1}},
+                                                                   {SubId{3}, ClientId{3}}}));
+  EXPECT_EQ(walked(srt, pub, &arrival, got), 3u + 3u + 2u + 0u + 1u);
+  EXPECT_EQ(got.forward_to, (std::vector<BrokerId>{BrokerId{10}, BrokerId{40}}));
+
+  // Flip hops across a publish: 12 (neighbor 10's only hit) becomes a local
+  // subscriber, and local 1 moves to neighbor 20, where it is now the first
+  // candidate. The old snapshot serves until publish() regroups.
+  srt.insert(SubId{12}, hit, client(12));
+  srt.insert(SubId{1}, hit, broker(20));
+  EXPECT_EQ(walked(srt, pub, &arrival, got), 9u);
+  EXPECT_EQ(got.forward_to, (std::vector<BrokerId>{BrokerId{10}, BrokerId{40}}));
+  srt.publish();
+  EXPECT_EQ(walked(srt, pub, &arrival, got), 3u + 2u + 1u + 0u + 1u);
+  EXPECT_EQ(got.forward_to, (std::vector<BrokerId>{BrokerId{20}, BrokerId{40}}));
+  EXPECT_EQ(got.deliver, (std::vector<std::pair<SubId, ClientId>>{{SubId{3}, ClientId{3}},
+                                                                   {SubId{12}, ClientId{12}}}));
+  SubscriptionRoutingTable::set_adv_pruning_enabled(false);
+  Result full;
+  (void)walked(srt, pub, &arrival, full);
+  EXPECT_EQ(got.forward_to, full.forward_to);
+  EXPECT_EQ(got.deliver, full.deliver);
+  SubscriptionRoutingTable::set_adv_pruning_enabled(true);
+
+  // A non-conforming quote (low < 0 breaks the advertisement) takes the
+  // flat path, which matches every filter of every hop: the same decision
+  // as with pruning off, and every hit neighbor but the arrival link.
+  const Publication odd = yhoo_quote(-1.0);
+  ASSERT_FALSE(adv.matches(odd));
+  EXPECT_GT(walked(srt, odd, &arrival, got), 0u);
+  SubscriptionRoutingTable::set_adv_pruning_enabled(false);
+  (void)walked(srt, odd, &arrival, full);
+  EXPECT_EQ(got.forward_to, full.forward_to);
+  EXPECT_EQ(got.deliver, full.deliver);
+  EXPECT_EQ(got.forward_to, (std::vector<BrokerId>{BrokerId{10}, BrokerId{20}, BrokerId{40}}));
+  EXPECT_EQ(got.deliver.size(), 3u);  // locals 2, 3 and 12; 51 is GOOG
+}
+
 // ---- scope index ----------------------------------------------------------
 
 // Equality values from a tiny domain so keys collide often: ints and doubles
@@ -298,8 +402,9 @@ Publication publication_near(Rng& rng, const Filter& f) {
 
 // 1,200 random mixes of advertisements and subscriptions. Each scope's
 // candidate set must equal a brute-force eq_disjoint scan over the live
-// subscriptions: a conforming publication walks exactly that many
-// candidates, and every path returns the brute-force match set. Mixes cover
+// subscriptions: a conforming publication walks every local candidate and
+// each non-excluded neighbor's candidates up to its first match, and every
+// path returns the brute-force match set. Mixes cover
 // filters without equality predicates, two equality predicates on one
 // attribute, int/double key aliases and NaN, advertisements registered
 // before and after their subscriptions (and re-registered), and remove
@@ -359,9 +464,22 @@ TEST(SubscriptionRoutingTable, ScopeIndexMatchesBruteForceCandidateScan) {
       const BrokerId* exclude = rng.chance(0.3) ? &excl : nullptr;
 
       SubscriptionRoutingTable::MatchResult expected;
-      std::size_t candidates = 0;
+      // Scoped walks: every local candidate, plus, per non-excluded
+      // neighbor, its candidates in ascending SubId order up to and
+      // including the first match.
+      std::size_t scoped_walks = 0;
+      std::map<BrokerId, bool> decided;
       for (const auto& [id, entry] : subs) {
-        if (!oracle_eq_disjoint(advs.at(adv), entry.first)) ++candidates;
+        const Hop& hop = entry.second;
+        if (oracle_eq_disjoint(advs.at(adv), entry.first)) continue;
+        if (hop.kind == Hop::Kind::kClient) {
+          ++scoped_walks;
+        } else if ((exclude == nullptr || hop.broker != *exclude) && !decided[hop.broker]) {
+          ++scoped_walks;
+          decided[hop.broker] = entry.first.matches(pub);
+        }
+      }
+      for (const auto& [id, entry] : subs) {
         if (!entry.first.matches(pub)) continue;
         const Hop& hop = entry.second;
         if (hop.kind == Hop::Kind::kClient) {
@@ -382,7 +500,7 @@ TEST(SubscriptionRoutingTable, ScopeIndexMatchesBruteForceCandidateScan) {
       EXPECT_EQ(got.deliver, expected.deliver) << "mix " << mix;
       EXPECT_EQ(got.forward_to, expected.forward_to) << "mix " << mix;
       if (pub.adv_id().valid() && advs.at(adv).matches(pub)) {
-        EXPECT_EQ(walks, candidates) << "mix " << mix << ": "
+        EXPECT_EQ(walks, scoped_walks) << "mix " << mix << ": "
                                      << advs.at(adv).to_string() << " / " << pub.to_string();
         ++pruned_checks;
       }
