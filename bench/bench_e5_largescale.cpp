@@ -11,7 +11,9 @@
 // (1/2/4/8 event-queue shards) on the first scale and emits the scaling
 // curve as "series": "workers" rows in BENCH_sim.json — results are
 // bit-identical across worker counts, so the curve isolates pure event-loop
-// parallelism. See EXPERIMENTS.md for the row schema.
+// parallelism. Each worker row also counts the lookahead windows the loop
+// opened and the events per window, the work one barrier crossing guards.
+// See EXPERIMENTS.md for the row schema.
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -59,10 +61,11 @@ int main() {
   // Runs before the approach grid so a tight budget still yields the curve.
   const Scale first = scales().front();
   {
-    const std::vector<int> widths = {8, 8, 10, 12, 10};
+    const std::vector<int> widths = {8, 8, 10, 12, 10, 10, 14};
     std::printf("worker scaling, %zu brokers (MANUAL):\n",
                 static_cast<std::size_t>(first.brokers));
-    print_row({"workers", "shards", "wall s", "events/s", "speedup"}, widths);
+    print_row({"workers", "shards", "wall s", "events/s", "speedup", "windows", "events/window"},
+              widths);
     double wall_1 = 0;
     for (const std::size_t w : {1, 2, 4, 8}) {
       if (budget.skip("remaining worker counts")) break;
@@ -70,13 +73,19 @@ int main() {
       cfg.sim.workers = w;
       const RunResult r = run_approach(Approach::kManual, cfg);
       if (w == 1) wall_1 = r.wall_s;
+      // A serial (one-shard) run opens no window.
+      const double per_window =
+          r.windows > 0 ? static_cast<double>(r.events) / static_cast<double>(r.windows) : 0;
       print_row({std::to_string(w), std::to_string(r.workers), fmt(r.wall_s, 2),
                  fmt(r.wall_s > 0 ? static_cast<double>(r.events) / r.wall_s : 0, 0),
-                 r.wall_s > 0 && wall_1 > 0 ? fmt(wall_1 / r.wall_s, 2) + "x" : "n/a"},
+                 r.wall_s > 0 && wall_1 > 0 ? fmt(wall_1 / r.wall_s, 2) + "x" : "n/a",
+                 std::to_string(r.windows), r.windows > 0 ? fmt(per_window, 2) : "-"},
                 widths);
       JsonObject row = run_result_json(r);
       row.set_string("series", "workers")
           .set_integer("requested_workers", w)
+          .set_integer("windows", r.windows)
+          .set_number("events_per_window", per_window)
           .set_integer("brokers", first.brokers)
           .set_integer("subscriptions", first.publishers * first.subs_per_publisher);
       json_rows.push_back(row.render());

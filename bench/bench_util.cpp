@@ -146,6 +146,7 @@ RunResult run_approach(Approach a, const HarnessConfig& cfg) {
     result.events = sim.events_executed();
     result.match_walks = MatchingEngine::match_walks();
     result.workers = sim.shard_count();
+    result.windows = sim.lookahead_windows();
     result.wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   };

@@ -79,6 +79,7 @@ struct RunResult {
   std::size_t events = 0;        // discrete events executed
   std::size_t match_walks = 0;   // candidate filter evaluations (this thread)
   std::size_t workers = 1;       // event-loop shards the simulator used
+  std::size_t windows = 0;       // lookahead windows opened (0 = serial drain)
 };
 
 // GREENPS_OBS_SAMPLE_MS=<ms> samples every broker at that sim-time interval

@@ -27,8 +27,11 @@ void ShardedEventLoop::reset(std::size_t shards) {
   assert(shards >= 1);
   shards_.clear();
   shards_.resize(shards);
-  for (Shard& s : shards_) s.out.resize(shards);
-  next_times_.assign(shards, 0);
+  for (Shard& s : shards_) {
+    for (auto& lanes : s.out) lanes.resize(shards);
+  }
+  for (auto& votes : next_times_) votes.assign(shards, 0);
+  windows_ = 0;
 }
 
 std::size_t ShardedEventLoop::executed() const {
@@ -39,38 +42,54 @@ std::size_t ShardedEventLoop::executed() const {
 
 void ShardedEventLoop::post(std::size_t src, std::size_t dst, SimTime time, EventKey key,
                             EventQueue::Action action) {
-  if (src == dst) {
+  if (src == dst || !running_) {
     shards_[dst].queue.schedule_keyed(time, key, std::move(action));
     return;
   }
-  shards_[src].out[dst].push_back(Posted{time, key, std::move(action)});
+  Shard& from = shards_[src];
+  // The lookahead contract: the fused vote below counts this post as the
+  // next window's anchor, so it must not belong to the open window.
+  assert(time >= from.horizon);
+  from.post_min = std::min(from.post_min, time);
+  from.out[from.parity][dst].push_back(Posted{time, key, std::move(action)});
 }
 
 void ShardedEventLoop::run_windows(SimTime end, SimTime lookahead, std::size_t slot,
                                    SpinBarrier& barrier) {
   const std::size_t n = shards_.size();
-  EventQueue& q = shards_[slot].queue;
+  Shard& me = shards_[slot];
+  EventQueue& q = me.queue;
+  // The opening vote: every outbox is empty, so the queues alone anchor
+  // the first window.
+  next_times_[0][slot] = q.next_time();
+  barrier.arrive_and_wait();
+  std::size_t parity = 0;
   while (true) {
-    next_times_[slot] = q.next_time();
-    barrier.arrive_and_wait();
-    // Every slot computes the same minimum from the same snapshot, so all
+    // Every slot computes the same minimum from the same votes, so all
     // slots agree on the window — and on when to stop — without a leader.
-    SimTime tmin = next_times_[0];
-    for (std::size_t s = 1; s < n; ++s) tmin = std::min(tmin, next_times_[s]);
+    const std::vector<SimTime>& votes = next_times_[parity];
+    const SimTime tmin = *std::min_element(votes.begin(), votes.end());
     if (tmin > end) break;
+    if (slot == 0) ++windows_;
     // end + 1: the final window is inclusive of `end`, matching run_until.
-    const SimTime horizon = std::min(tmin + lookahead, end + 1);
-    q.run_before(horizon);
+    me.horizon = std::min(tmin + lookahead, end + 1);
+    me.parity = parity;
+    me.post_min = EventQueue::kNoEvent;
+    q.run_before(me.horizon);
+    // What this shard will hold once the exchange lands: its own queue plus
+    // what it posted. The minimum over all shards is the earliest event
+    // anywhere after the exchange, so the vote can precede the merge.
+    next_times_[parity ^ 1][slot] = std::min(q.next_time(), me.post_min);
     barrier.arrive_and_wait();
-    // All posts for this window are in the lanes; merge the ones addressed
-    // to this shard. The lookahead contract puts them at/after `horizon`,
-    // so next_time() stays a valid window anchor.
+    // Every post of the closed window is in its parity's lanes; merge the
+    // ones addressed to this shard. The lookahead contract puts them
+    // at/after the horizon, so they cannot precede this shard's clock.
     for (std::size_t src = 0; src < n; ++src) {
-      auto& lane = shards_[src].out[slot];
+      auto& lane = shards_[src].out[parity][slot];
       for (Posted& p : lane) q.schedule_keyed(p.time, p.key, std::move(p.action));
       lane.clear();
     }
-    barrier.arrive_and_wait();
+    parity ^= 1;
   }
   // No event at or before `end` remains anywhere; settle the clock (and the
   // per-thread obs sim time) exactly like a serial run.
@@ -89,11 +108,13 @@ void ShardedEventLoop::run(SimTime end, SimTime lookahead, ThreadPool* pool,
   assert(lookahead > 0);
   assert(pool != nullptr && pool->size() >= shards_.size());
   SpinBarrier barrier(shards_.size());
+  running_ = true;
   pool->run_slots(shards_.size(), [&](std::size_t slot) {
     if (on_slot_begin) on_slot_begin(slot);
     run_windows(end, lookahead, slot, barrier);
     if (on_slot_end) on_slot_end(slot);
   });
+  running_ = false;
 }
 
 }  // namespace greenps

@@ -2,15 +2,24 @@
 //
 // Chandy–Misra–Bryant-style windowing without null messages: every shard
 // advances to a common safe horizon H = min(next event time over all
-// shards) + lookahead, drains its own queue strictly below H, and then the
-// shards exchange cross-shard events at a barrier before opening the next
-// window. The caller guarantees the lookahead contract: any event posted
-// from shard A to shard B carries a timestamp at least `lookahead` after
-// the posting event's own timestamp (in the simulator, one network-link
-// latency plus the minimum matching service time). Under that contract no
-// exchanged event can land inside the window that produced it, so each
-// shard's (time, key) execution order — and with content-derived EventKeys,
-// the entire simulation — is bit-identical to a single-queue run.
+// shards) + lookahead and drains its own queue strictly below H. The caller
+// guarantees the lookahead contract: any event posted from shard A to shard
+// B carries a timestamp at least `lookahead` after the posting event's own
+// timestamp (in the simulator, one network-link latency plus the minimum
+// matching service time), hence at or after H. So no exchanged event can
+// land inside the window that produced it, and each shard's (time, key)
+// execution order — and with content-derived EventKeys, the entire
+// simulation — is bit-identical to a single-queue run.
+//
+// One barrier crossing per window. Windows alternate parity: during window
+// k a shard posts cross-shard events into its out[k & 1] lanes and, after
+// draining, votes min(own next event, earliest event it posted) into
+// next_times_[(k + 1) & 1] — the next window's anchor, computed before the
+// exchange. After the crossing each shard merges the out[k & 1] lanes
+// addressed to it and reads the votes to open window k + 1 (or stop). A
+// lane or vote slot is rewritten only two windows later, after a crossing
+// that every reader has passed, so the handoff needs no other
+// synchronization.
 //
 // Threads: run() drives all shards through a ThreadPool in static-slot
 // mode (shard s on thread s, the caller being shard 0). Outside run() the
@@ -18,6 +27,7 @@
 // plain serial drain with zero synchronization.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <vector>
@@ -28,8 +38,9 @@
 
 namespace greenps {
 
-// Sense-reversing spin barrier for the window loop: the crossings are a few
-// hundred nanoseconds apart, far cheaper than futex sleeps at this cadence.
+// Sense-reversing spin barrier for the window loop: one crossing per
+// lookahead window, a few hundred nanoseconds apart, far cheaper than futex
+// sleeps at this cadence.
 // Yields after a bounded spin so oversubscribed runs (more shards than
 // cores) still progress at scheduler speed instead of burning quanta.
 class SpinBarrier {
@@ -58,11 +69,15 @@ class ShardedEventLoop {
   [[nodiscard]] SimTime now() const { return shards_[0].queue.now(); }
   // Total events executed across all shards.
   [[nodiscard]] std::size_t executed() const;
+  // Lookahead windows opened, summed over run() calls since reset(); the
+  // one-shard serial path opens none.
+  [[nodiscard]] std::size_t windows() const { return windows_; }
 
   // Schedule onto shard `dst` from shard `src`'s event handler during
-  // run(). Cross-shard posts land in a lock-free outbox lane and merge into
-  // `dst` at the next window barrier; `time` must respect the lookahead
-  // contract. src == dst schedules directly.
+  // run(). Cross-shard posts land in a single-writer outbox lane and merge
+  // into `dst` after the window's barrier crossing; `time` must respect the
+  // lookahead contract (at or after the open window's horizon). src == dst,
+  // and any post made outside run(), schedules directly.
   void post(std::size_t src, std::size_t dst, SimTime time, EventKey key,
             EventQueue::Action action);
 
@@ -86,16 +101,24 @@ class ShardedEventLoop {
   // its neighbors' queue headers.
   struct alignas(64) Shard {
     EventQueue queue;
-    // out[dst]: events posted to shard `dst` during the current window,
-    // written only by this shard's thread, drained only by `dst` after the
-    // window barrier.
-    std::vector<std::vector<Posted>> out;
+    // out[parity][dst]: events posted to shard `dst` during a window of that
+    // parity, written only by this shard's thread, drained only by `dst`
+    // after the window's barrier crossing.
+    std::array<std::vector<std::vector<Posted>>, 2> out;
+    // The window this shard is draining; touched only by its own thread.
+    std::size_t parity = 0;
+    SimTime horizon = 0;                     // cross-shard posts land at/after it
+    SimTime post_min = EventQueue::kNoEvent;  // earliest cross-shard post
   };
 
   void run_windows(SimTime end, SimTime lookahead, std::size_t slot, SpinBarrier& barrier);
 
   std::vector<Shard> shards_;
-  std::vector<SimTime> next_times_;  // window negotiation, one slot per shard
+  // next_times_[parity][shard]: each shard's vote for the anchor of the
+  // window of that parity.
+  std::array<std::vector<SimTime>, 2> next_times_;
+  std::size_t windows_ = 0;  // written by slot 0 only during run()
+  bool running_ = false;     // written by the owner thread outside the slots
 };
 
 }  // namespace greenps

@@ -194,6 +194,9 @@ class Simulation {
   // ticks beyond shard 0) are excluded, so the count is identical for any
   // worker count.
   [[nodiscard]] std::size_t events_executed() const;
+  // Lookahead windows the sharded event loop opened since the last
+  // redeploy (0 with one shard, which drains serially).
+  [[nodiscard]] std::size_t lookahead_windows() const { return loop_.windows(); }
 
  private:
   struct Shard;
